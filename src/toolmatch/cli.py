@@ -128,12 +128,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval-attr", help="attribute-wise accuracy of a trained head")
     eval_common(p)
-    p.set_defaults(handler=_cmd_eval_attr, report_to_out=True)
+    p.set_defaults(handler=_cmd_eval, which="attr", report_to_out=True)
 
     p = sub.add_parser("eval-class", help="most-similar-class accuracy of a trained head")
     eval_common(p)
     p.add_argument("--clamp", action="store_true", help="clip predictions to [1,7] before scoring")
-    p.set_defaults(handler=_cmd_eval_class, report_to_out=True)
+    p.set_defaults(handler=_cmd_eval, which="class", report_to_out=True)
 
     def match_common(p):
         p.add_argument("--visual-checkpoint", required=True)
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("match", help="tool selection accuracy over matching trials")
     match_common(p)
     p.add_argument("--mask", default=None, help="comma-separated attribute names to remove")
-    p.set_defaults(handler=_cmd_match, report_to_out=True)
+    p.set_defaults(handler=_cmd_eval, which="matching", report_to_out=True)
 
     p = sub.add_parser("ablate", help="single-attribute removal sweep over a metric")
     p.add_argument("--which", choices=("attr", "class", "matching"), required=True)
@@ -250,7 +250,56 @@ def _cmd_train(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _load_eval_pieces(args):
+def _require(args, names: Sequence[str]) -> None:
+    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
+    if missing:
+        raise ValueError(
+            "ablate --which "
+            + args.which
+            + " requires "
+            + ", ".join("--" + n for n in missing)
+        )
+
+
+def _evaluator(args):
+    """Load the inputs of the ``args.which`` metric (attr, class or matching) once.
+
+    Returns ``evaluate(mask) -> EvaluationReport``, the metric's configuration
+    echo and the input fingerprints. Only ``match`` collects per-trial rankings.
+    """
+    if args.which == "matching":
+        _require(args, ("visual-checkpoint", "language-checkpoint", "visual",
+                        "visual-manifest", "scenarios", "scenario-manifest", "trials"))
+        visual_head = load_checkpoint(args.visual_checkpoint)
+        language_head = load_checkpoint(args.language_checkpoint)
+        visual = read_embeddings(args.visual, args.visual_manifest)
+        scenario_embeddings = read_embeddings(args.scenarios, args.scenario_manifest)
+        trials = read_trials(args.trials)
+        if not trials:
+            raise ValueError(f"{args.trials}: no trials")
+        inputs = _fingerprints(
+            visual_checkpoint=args.visual_checkpoint,
+            language_checkpoint=args.language_checkpoint,
+            visual=args.visual,
+            visual_manifest=args.visual_manifest,
+            scenarios=args.scenarios,
+            scenario_manifest=args.scenario_manifest,
+            trials=args.trials,
+        )
+        predict_scenario = predictor(language_head, scenario_embeddings)
+        predict_candidate = predictor(visual_head, visual)
+
+        def evaluate(mask):
+            return matching_accuracy(
+                trials, predict_scenario, predict_candidate,
+                metric=METRIC_FLAGS[args.metric], mask=mask, clamp=args.clamp,
+                collect_rankings=args.command == "match",
+            )
+
+        heads = {"visual": visual_head.config.to_dict(), "language": language_head.config.to_dict()}
+        return evaluate, {"metric": args.metric, "clamp": args.clamp, "heads": heads}, inputs
+
+    _require(args, ("checkpoint", "embeddings", "manifest", "catalog"))
     trained = load_checkpoint(args.checkpoint)
     embeddings = read_embeddings(args.embeddings, args.manifest)
     catalog = load_catalog(args.catalog)
@@ -267,147 +316,46 @@ def _load_eval_pieces(args):
         checkpoint=args.checkpoint, embeddings=args.embeddings,
         manifest=args.manifest, catalog=args.catalog,
     )
-    return trained, embeddings, catalog, items, inputs
-
-
-def _cmd_eval_attr(args) -> tuple[dict, int]:
-    trained, embeddings, catalog, items, inputs = _load_eval_pieces(args)
-    mask = _parse_mask(args.mask)
-    preds = list(predict_items(trained, embeddings, items))
-    truths = [catalog.attributes_of(embeddings.tool_of(i)) for i in items]
-    metric_report = attribute_wise_accuracy(preds, truths, mask)
-    report = {
-        "command": "eval-attr",
-        "config": {
-            "split": args.split,
-            "mask": args.mask or "",
-            "head": trained.config.to_dict(),
-        },
-        "inputs": inputs,
-        "report": metric_report.to_dict(),
-    }
-    return report, 0
-
-
-def _cmd_eval_class(args) -> tuple[dict, int]:
-    trained, embeddings, catalog, items, inputs = _load_eval_pieces(args)
-    mask = _parse_mask(args.mask)
     pred_rows = predict_items(trained, embeddings, items)
-    preds = [(embeddings.tool_of(i), row) for i, row in zip(items, pred_rows)]
-    metric_report = most_similar_class_accuracy(preds, catalog, mask, clamp=args.clamp)
+    if args.which == "attr":
+        preds = list(pred_rows)
+        truths = [catalog.attributes_of(embeddings.tool_of(i)) for i in items]
+
+        def evaluate(mask):
+            return attribute_wise_accuracy(preds, truths, mask)
+
+    else:
+        labeled = [(embeddings.tool_of(i), row) for i, row in zip(items, pred_rows)]
+
+        def evaluate(mask):
+            return most_similar_class_accuracy(labeled, catalog, mask, clamp=args.clamp)
+
+    config = {"split": args.split}
+    if "clamp" in args:  # eval-attr has no --clamp
+        config["clamp"] = args.clamp
+    config["head"] = trained.config.to_dict()
+    return evaluate, config, inputs
+
+
+def _cmd_eval(args) -> tuple[dict, int]:
+    """eval-attr, eval-class and match: one metric under one mask."""
+    evaluate, config, inputs = _evaluator(args)
+    metric_report = evaluate(_parse_mask(args.mask))
     report = {
-        "command": "eval-class",
-        "config": {
-            "split": args.split,
-            "mask": args.mask or "",
-            "clamp": args.clamp,
-            "head": trained.config.to_dict(),
-        },
+        "command": args.command,
+        "config": {**config, "mask": args.mask or ""},
         "inputs": inputs,
         "report": metric_report.to_dict(),
     }
     return report, 0
-
-
-def _load_match_pieces(args):
-    visual_head = load_checkpoint(args.visual_checkpoint)
-    language_head = load_checkpoint(args.language_checkpoint)
-    visual = read_embeddings(args.visual, args.visual_manifest)
-    scenario_embeddings = read_embeddings(args.scenarios, args.scenario_manifest)
-    trials = read_trials(args.trials)
-    if not trials:
-        raise ValueError(f"{args.trials}: no trials")
-    inputs = _fingerprints(
-        visual_checkpoint=args.visual_checkpoint,
-        language_checkpoint=args.language_checkpoint,
-        visual=args.visual,
-        visual_manifest=args.visual_manifest,
-        scenarios=args.scenarios,
-        scenario_manifest=args.scenario_manifest,
-        trials=args.trials,
-    )
-    predict_scenario = predictor(language_head, scenario_embeddings)
-    predict_candidate = predictor(visual_head, visual)
-    heads = {"visual": visual_head.config.to_dict(), "language": language_head.config.to_dict()}
-    return trials, predict_scenario, predict_candidate, heads, inputs
-
-
-def _cmd_match(args) -> tuple[dict, int]:
-    trials, predict_scenario, predict_candidate, heads, inputs = _load_match_pieces(args)
-    mask = _parse_mask(args.mask)
-    metric_report = matching_accuracy(
-        trials,
-        predict_scenario,
-        predict_candidate,
-        metric=METRIC_FLAGS[args.metric],
-        mask=mask,
-        clamp=args.clamp,
-        collect_rankings=True,
-    )
-    report = {
-        "command": "match",
-        "config": {
-            "metric": args.metric,
-            "mask": args.mask or "",
-            "clamp": args.clamp,
-            "heads": heads,
-        },
-        "inputs": inputs,
-        "report": metric_report.to_dict(),
-    }
-    return report, 0
-
-
-def _require(args, names: Sequence[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ValueError(
-            "ablate --which "
-            + args.which
-            + " requires "
-            + ", ".join("--" + n for n in missing)
-        )
 
 
 def _cmd_ablate(args) -> tuple[dict, int]:
-    if args.which == "matching":
-        _require(args, ("visual-checkpoint", "language-checkpoint", "visual",
-                        "visual-manifest", "scenarios", "scenario-manifest", "trials"))
-        trials, predict_scenario, predict_candidate, heads, inputs = _load_match_pieces(args)
-
-        def evaluate(mask):
-            return matching_accuracy(
-                trials, predict_scenario, predict_candidate,
-                metric=METRIC_FLAGS[args.metric], mask=mask, clamp=args.clamp,
-            )
-
-        config = {"which": "matching", "metric": args.metric, "clamp": args.clamp, "heads": heads}
-    else:
-        _require(args, ("checkpoint", "embeddings", "manifest", "catalog"))
-        trained, embeddings, catalog, items, inputs = _load_eval_pieces(args)
-        pred_rows = predict_items(trained, embeddings, items)
-        if args.which == "attr":
-            preds = list(pred_rows)
-            truths = [catalog.attributes_of(embeddings.tool_of(i)) for i in items]
-
-            def evaluate(mask):
-                return attribute_wise_accuracy(preds, truths, mask)
-
-        else:
-            labeled = [(embeddings.tool_of(i), row) for i, row in zip(items, pred_rows)]
-
-            def evaluate(mask):
-                return most_similar_class_accuracy(labeled, catalog, mask, clamp=args.clamp)
-
-        config = {
-            "which": args.which, "split": args.split, "clamp": args.clamp,
-            "head": trained.config.to_dict(),
-        }
-
+    evaluate, config, inputs = _evaluator(args)
     sweep = ablation_sweep(evaluate)
     report = {
         "command": "ablate",
-        "config": config,
+        "config": {"which": args.which, **config},
         "inputs": inputs,
         "baseline": sweep["baseline"],
         "rows": sweep["rows"],

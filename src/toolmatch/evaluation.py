@@ -8,7 +8,6 @@ evaluation cannot drift.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -22,13 +21,8 @@ from toolmatch.domain import (
     MatchingTrial,
     ToolCatalog,
 )
-from toolmatch.similarity import (
-    AblationMask,
-    SimilarityError,
-    apply_mask,
-    cosine_similarity,
-    rank_candidates,
-)
+from toolmatch.similarity import AblationMask, SimilarityError, rank_candidates, select_tool
+from toolmatch.similarity import cosine_similarity  # noqa: F401  patched here by toolbench/tracing.py
 
 
 @dataclass
@@ -63,30 +57,22 @@ class EvaluationReport:
         return out
 
 
-def round_half_up_clamped(x: float) -> int:
-    """Clamp to the 1-7 rating scale, then round to nearest with halves going up."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot round non-finite value {x}")
-    clamped = min(max(x, RATING_MIN), RATING_MAX)
-    return int(math.floor(clamped + 0.5))
+def round_half_up_clamped(x: float | np.ndarray) -> int | np.ndarray:
+    """Clamp to the 1-7 rating scale, then round to nearest with halves going up.
+
+    Accepts a scalar (returns an int) or an array (returns an int64 array).
+    """
+    a = np.asarray(x, dtype=np.float64)
+    bad = a[~np.isfinite(a)]
+    if bad.size:
+        raise ValueError(f"cannot round non-finite value {bad[0]}")
+    out = np.floor(np.clip(a, RATING_MIN, RATING_MAX) + 0.5).astype(np.int64)
+    return int(out) if out.ndim == 0 else out
 
 
 def clamp_vector(v: np.ndarray) -> np.ndarray:
     """Clip an attribute vector to the rating scale (optional pre-matching step)."""
     return np.clip(np.asarray(v, dtype=np.float64), RATING_MIN, RATING_MAX)
-
-
-def _rounded_truth(truths: Sequence[np.ndarray]) -> np.ndarray:
-    """Integer truth matrix; the half-up rounding is applied at most once.
-
-    Non-integral truths (rating averages) are rounded here with the same rule
-    used for predictions, so exact-match comparison is well-defined.
-    """
-    mat = np.asarray(truths, dtype=np.float64)
-    out = np.empty(mat.shape, dtype=np.int64)
-    for idx, x in np.ndenumerate(mat):
-        out[idx] = round_half_up_clamped(float(x))
-    return out
 
 
 def attribute_wise_accuracy(
@@ -107,11 +93,9 @@ def attribute_wise_accuracy(
     pred_mat = np.asarray(preds, dtype=np.float64)
     if pred_mat.shape[1] != NUM_ATTRIBUTES:
         raise ValueError(f"predictions must have {NUM_ATTRIBUTES} columns, got {pred_mat.shape}")
-    truth_int = _rounded_truth(truths)
-
-    pred_int = np.empty(pred_mat.shape, dtype=np.int64)
-    for idx, x in np.ndenumerate(pred_mat):
-        pred_int[idx] = round_half_up_clamped(float(x))
+    # Non-integral truths (rating averages) follow the prediction rounding rule.
+    truth_int = round_half_up_clamped(truths)
+    pred_int = round_half_up_clamped(pred_mat)
 
     cols = mask.kept if mask is not None and mask.removed else np.arange(NUM_ATTRIBUTES)
     hits = pred_int[:, cols] == truth_int[:, cols]
@@ -145,29 +129,21 @@ def most_similar_class_accuracy(
     the true tool category; ties go to the lower tool_id.
 
     Items whose prediction cannot be scored (zero norm after masking) are
-    counted incorrect and listed in ``details.failed_items``.
+    counted incorrect, and their positions in ``preds`` are listed in
+    ``details.failed_items``.
     """
     if not preds:
         raise ValueError("need at least one prediction")
-    catalog_masked = [(t.tool_id, apply_mask(t.attributes, mask)) for t in catalog]
+    catalog_pairs = [(t.tool_id, t.attributes) for t in catalog]
     correct = 0
     failed: list[int] = []
-    for true_tool, vec in preds:
-        v = clamp_vector(vec) if clamp else np.asarray(vec, dtype=np.float64)
+    for position, (true_tool, vec) in enumerate(preds):
         try:
-            mv = apply_mask(v, mask)
-            best_tool = None
-            best_score = -np.inf
-            for tool_id, cat_vec in catalog_masked:
-                s = cosine_similarity(mv, cat_vec)
-                if s > best_score:  # strict: ties keep the earlier (lower) tool_id
-                    best_score = s
-                    best_tool = tool_id
+            best_tool, _ = select_tool(clamp_vector(vec) if clamp else vec, catalog_pairs, mask=mask)
         except SimilarityError:
-            failed.append(int(true_tool))
+            failed.append(position)
             continue
-        if best_tool == true_tool:
-            correct += 1
+        correct += int(best_tool == true_tool)
     report = EvaluationReport(
         metric_name="most_similar_class_accuracy",
         numerator=correct,

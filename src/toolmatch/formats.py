@@ -136,10 +136,7 @@ def load_catalog(path) -> ToolCatalog:
 
 def rounded_truths(catalog: ToolCatalog) -> dict[int, np.ndarray]:
     """Integer-rounded truth vector per tool, using the metric rounding rule."""
-    return {
-        t.tool_id: np.array([round_half_up_clamped(float(v)) for v in t.attributes])
-        for t in catalog
-    }
+    return {t.tool_id: round_half_up_clamped(t.attributes) for t in catalog}
 
 
 def save_catalog(catalog: ToolCatalog, path) -> None:

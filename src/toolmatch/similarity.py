@@ -20,24 +20,36 @@ class SimilarityError(ValueError):
         self.item_id = item_id
 
 
+def _score_rows(query, rows, metric: str, ids: Sequence[int] | None = None) -> np.ndarray:
+    """Score one query against every row of an (n, k) matrix.
+
+    A zero-norm cosine failure names the first row it spoils (row 0 when the
+    query itself has zero norm) by its entry in ``ids``, when given.
+    """
+    query = np.asarray(query, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.shape[1:] != query.shape:
+        raise SimilarityError(f"length mismatch: {query.shape} vs {rows.shape[1:]}")
+    if metric == "negative_euclidean":
+        return -np.linalg.norm(rows - query, axis=1)
+    # Both norms take the same reduction, so cosine stays exactly symmetric.
+    q_norm = np.sqrt((query * query).sum())
+    norms = np.sqrt((rows * rows).sum(axis=1))
+    if q_norm == 0.0 or not norms.all():
+        message = "cosine similarity undefined for zero-norm vector"
+        if ids is None:
+            raise SimilarityError(message)
+        cid = ids[0 if q_norm == 0.0 else int(np.flatnonzero(norms == 0.0)[0])]
+        raise SimilarityError(f"candidate {cid}: {message}", item_id=cid)
+    return (rows * query).sum(axis=1) / (q_norm * norms)
+
+
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise SimilarityError(f"length mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise SimilarityError("cosine similarity undefined for zero-norm vector")
-    return float(a @ b / (na * nb))
+    return float(_score_rows(a, [b], "cosine")[0])
 
 
 def negative_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise SimilarityError(f"length mismatch: {a.shape} vs {b.shape}")
-    return float(-np.linalg.norm(a - b))
+    return float(_score_rows(a, [b], "negative_euclidean")[0])
 
 
 METRICS = {"cosine": cosine_similarity, "negative_euclidean": negative_euclidean}
@@ -80,13 +92,15 @@ EMPTY_MASK = AblationMask()
 
 
 def apply_mask(v: np.ndarray, mask: AblationMask | None) -> np.ndarray:
-    """Drop the masked attribute dimensions, preserving survivor order."""
+    """Drop the masked attribute dimensions (the last axis), preserving survivor order."""
     v = np.asarray(v, dtype=np.float64)
     if mask is None or not mask.removed:
         return v
-    if v.shape != (NUM_ATTRIBUTES,):
+    if v.shape[-1:] != (NUM_ATTRIBUTES,):
         raise ValueError(f"mask applies to 13-vectors, got shape {v.shape}")
-    return v[mask.kept]
+    # np.take keeps rows C-ordered (v[..., kept] does not), so every row sums
+    # in the same order as the vector would alone.
+    return np.take(v, mask.kept, axis=-1)
 
 
 def rank_candidates(
@@ -97,21 +111,16 @@ def rank_candidates(
 ) -> list[tuple[int, float]]:
     """Score candidates against the query, best first, ties broken by ascending id.
 
-    Scores are computed on masked vectors. A metric failure is re-raised with
-    the offending candidate's id attached.
+    The masked candidates are stacked and scored in one pass. A zero-norm
+    cosine failure carries the id of the first candidate it spoils.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    score = resolve_metric(metric)
-    mq = apply_mask(query, mask)
-    scored: list[tuple[int, float]] = []
-    for cid, vec in candidates:
-        try:
-            scored.append((cid, score(mq, apply_mask(vec, mask))))
-        except SimilarityError as exc:
-            raise SimilarityError(f"candidate {cid}: {exc}", item_id=cid) from None
-    scored.sort(key=lambda pair: (-pair[1], pair[0]))
-    return scored
+    resolve_metric(metric)  # rejects unknown names
+    ids = [cid for cid, _ in candidates]
+    rows = apply_mask([vec for _, vec in candidates], mask)
+    scores = _score_rows(apply_mask(query, mask), rows, metric, ids)
+    return [(ids[i], float(scores[i])) for i in np.lexsort((ids, -scores))]
 
 
 def select_tool(

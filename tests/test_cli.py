@@ -341,6 +341,24 @@ class TestAblate:
         assert report["baseline"]["metric"] == "matching_accuracy"
         assert len(report["rows"]) == 13
 
+    @pytest.mark.parametrize("which,command", [
+        ("attr", "eval-attr"), ("class", "eval-class"), ("matching", "match"),
+    ])
+    def test_baseline_equals_one_shot_report(
+        self, capsys, dataset, visual_checkpoint, language_checkpoint, which, command
+    ):
+        if which == "matching":
+            argv = match_args(dataset, visual_checkpoint, language_checkpoint)
+        else:
+            argv = eval_args(dataset, visual_checkpoint)
+        sweep = run_json(capsys, "ablate", "--which", which, *argv)
+        one_shot = run_json(capsys, command, *argv)["report"]
+        details = one_shot.pop("details", {})
+        details.pop("per_trial", None)
+        if details:
+            one_shot["details"] = details
+        assert sweep["baseline"] == one_shot
+
     def test_matching_sweep_requires_match_inputs(self, capsys, dataset, visual_checkpoint):
         code, out, err = run(
             capsys, "ablate", "--which", "matching",

@@ -18,30 +18,36 @@ from toolmatch.evaluation import (
 from toolmatch.similarity import AblationMask
 
 
+ROUNDING_CASES = [
+    (3.5, 4),    # halves round up
+    (2.49, 2),
+    (2.5, 3),
+    (6.5, 7),
+    (4.4999999, 4),
+    (1.0, 1),
+    (7.0, 7),
+    (7.2, 7),    # clamped into range first
+    (9e9, 7),
+    (0.3, 1),
+    (-100.0, 1),
+]
+
+
 class TestRounding:
-    @pytest.mark.parametrize(
-        "x,want",
-        [
-            (3.5, 4),    # halves round up
-            (2.49, 2),
-            (2.5, 3),
-            (6.5, 7),
-            (4.4999999, 4),
-            (1.0, 1),
-            (7.0, 7),
-            (7.2, 7),    # clamped into range first
-            (9e9, 7),
-            (0.3, 1),
-            (-100.0, 1),
-        ],
-    )
+    @pytest.mark.parametrize("x,want", ROUNDING_CASES)
     def test_values(self, x, want):
-        assert round_half_up_clamped(x) == want
+        got = round_half_up_clamped(x)
+        assert got == want and type(got) is int
+        # The same rule applied to every case at once, as one array.
+        xs, wants = zip(*ROUNDING_CASES)
+        assert round_half_up_clamped(np.array(xs)).tolist() == list(wants)
 
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
                 round_half_up_clamped(bad)
+        with pytest.raises(ValueError, match="non-finite value nan"):
+            round_half_up_clamped(np.array([[3.0, 4.0], [math.nan, 5.0]]))
 
     def test_clamp_vector(self):
         out = clamp_vector(np.array([0.0, 8.0, 3.5]))
@@ -158,6 +164,11 @@ class TestClassAccuracy:
         report = most_similar_class_accuracy([(0, np.zeros(13)), (1, good)], catalog)
         assert (report.numerator, report.denominator) == (1, 2)
         assert report.details["failed_items"] == [0]
+
+    def test_failed_items_are_positions_not_tools(self):
+        report = most_similar_class_accuracy([(2, np.zeros(13)), (2, np.zeros(13))], catalog3())
+        assert (report.numerator, report.denominator) == (0, 2)
+        assert report.details["failed_items"] == [0, 1]
 
     def test_clamp_rescues_zero_vector(self):
         # Clamping lifts the zero vector to all-ones, which is parallel to

@@ -242,6 +242,12 @@ class TestRanking:
             rank_candidates(np.ones(13), cands, metric="cosine")
         assert info.value.item_id == 11
 
+    def test_zero_norm_query_blames_first_candidate(self):
+        cands = [(6, np.ones(13)), (2, np.full(13, 3.0))]
+        with pytest.raises(SimilarityError, match="candidate 6") as info:
+            rank_candidates(np.zeros(13), cands, metric="cosine")
+        assert info.value.item_id == 6
+
     def test_euclid_tolerates_zero_vectors(self):
         cands = [(0, np.zeros(13)), (1, np.ones(13))]
         got = rank_candidates(np.zeros(13), cands, metric="negative_euclidean")
