@@ -8,11 +8,21 @@ Acklam's rational approximation of the inverse normal CDF to one uniform
 draw each: exactly one 64-bit word is consumed per variate, which keeps
 stream positions well-defined across implementations (unlike pair-consuming
 polar methods).
+
+``uniforms`` and ``normals`` draw their words as one numpy ``uint64`` block
+(uint64 arrays wrap mod 2^64 exactly as the masked Python arithmetic does)
+and reproduce the scalar ``uniform``/``normal`` calls word for word and bit
+for bit, leaving the stream at the same position. Acklam's rational
+functions are written once as plain arithmetic that serves a float and an
+array alike, and numpy's +, *, / and sqrt are correctly rounded like
+Python's. ``log`` is not: ``np.log`` can differ from ``math.log`` in the last
+place, so the tails (about 5 % of draws) take ``math.log`` element by element.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import MutableSequence, Sequence, TypeVar
 
 import numpy as np
@@ -34,6 +44,26 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
 _P_LOW = 0.02425
 
 
+def _central(p):
+    """Acklam's central region, p in [_P_LOW, 1 - _P_LOW]; float or array."""
+    q = p - 0.5
+    r = q * q
+    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
+        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+
+
+def _tail(q):
+    """Acklam's lower tail at q = sqrt(-2 log p); float or array."""
+    return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
+        ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+
+
+def _tail_q(p: np.ndarray) -> np.ndarray:
+    """sqrt(-2 log p) per element, with math.log so each value matches the scalar path."""
+    logs = np.fromiter(map(math.log, p.tolist()), dtype=np.float64, count=p.size)
+    return np.sqrt(-2.0 * logs)
+
+
 def inverse_normal_cdf(p: float) -> float:
     """Standard-normal quantile via Acklam's rational approximation.
 
@@ -42,17 +72,10 @@ def inverse_normal_cdf(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if p < _P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
+        return _tail(math.sqrt(-2.0 * math.log(p)))
     if p > 1.0 - _P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]) / \
-            ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    q = p - 0.5
-    r = q * q
-    return (((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q / \
-        (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+        return -_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
+    return _central(p)
 
 
 class SplitMix64:
@@ -83,11 +106,33 @@ class SplitMix64:
         u = ((self.next_u64() >> 11) + 0.5) * 2.0 ** -53
         return inverse_normal_cdf(u)
 
+    def _words(self, n: int) -> np.ndarray:
+        """The next n words as a uint64 array; n <= 0 gives none and leaves the stream."""
+        n = max(operator.index(n), 0)
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(0xBF58476D1CE4E5B9)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(0x94D049BB133111EB)
+        z ^= z >> np.uint64(31)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        return z
+
     def normals(self, n: int) -> np.ndarray:
-        return np.array([self.normal() for _ in range(n)], dtype=np.float64)
+        """n normal variates, bit-identical to n calls of normal()."""
+        p = ((self._words(n) >> np.uint64(11)) + 0.5) * 2.0 ** -53
+        out = _central(p)
+        low = p < _P_LOW
+        out[low] = _tail(_tail_q(p[low]))
+        high = p > 1.0 - _P_LOW
+        out[high] = -_tail(_tail_q(1.0 - p[high]))
+        return out
 
     def uniforms(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        return np.array([self.uniform(low, high) for _ in range(n)], dtype=np.float64)
+        """n uniform draws, bit-identical to n calls of uniform(low, high)."""
+        return low + (high - low) * ((self._words(n) >> np.uint64(11)) * 2.0 ** -53)
 
     def randint(self, n: int) -> int:
         """Unbiased integer in [0, n) via rejection sampling."""

@@ -153,15 +153,23 @@ def _emit_items(
     per_tool: tuple[int, int],
     sigma: float,
 ) -> list[EmbeddingRecord]:
-    """Per-tool train-then-test items, ids tool-major, noise drawn per item in id order."""
+    """Per-tool train-then-test items, ids tool-major.
+
+    Noise is drawn as one (stride, dim) block per tool, row j for item j, so
+    the variates follow id order exactly as one draw per item would; a block
+    per tool rather than per dataset keeps peak memory at one tool's items.
+    """
     dim = mixer.shape[0]
     n_train, n_test = per_tool
     stride = n_train + n_test
     records: list[EmbeddingRecord] = []
     for tool_id, attrs in enumerate(attributes):
         base = mixer @ attrs
-        for j in range(stride):
-            vec = base if sigma == 0.0 else base + sigma * rng.normals(dim)
+        if sigma == 0.0:
+            vecs = [base] * stride
+        else:
+            vecs = base + sigma * rng.normals(stride * dim).reshape(stride, dim)
+        for j, vec in enumerate(vecs):
             records.append(
                 EmbeddingRecord(
                     item_id=tool_id * stride + j,

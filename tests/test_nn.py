@@ -2,6 +2,7 @@
 reimplementation, closed-form gradients, a hand-rolled Adam trace, and
 central finite differences."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -52,6 +53,18 @@ class TestInit:
         h2 = init_head([8, 256, 64, 13], seed=1)
         for p1, p2 in zip(h1.parameters(), h2.parameters()):
             assert np.array_equal(p1, p2)
+
+    @pytest.mark.parametrize("dims, digest", [
+        ([768, 256, 64, 13], "00e40ddfb9789986333b6dc10e411e0aeb3f7a0ff16acbb0b014890d123a99fb"),
+        ([768, 256, 128, 64, 13], "30ddbfd2d0b8357e1c6544c3922601aa6e18dca8e36a89c39170df9684307a20"),
+    ])
+    def test_parameters_pinned_across_versions(self, dims, digest):
+        # The sha256 of the canonical-order parameter bytes recorded when
+        # weights were still drawn one uniform() call at a time: the same seed
+        # must give the same checkpoint in every version.
+        head = init_head(dims, seed=1)
+        got = hashlib.sha256(b"".join(p.tobytes() for p in head.parameters())).hexdigest()
+        assert got == digest
 
     def test_different_seed_differs(self):
         h1 = init_head([8, 13], seed=1)

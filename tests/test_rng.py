@@ -2,6 +2,7 @@
 inverse-CDF normal path checked against scipy's quantile function."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,50 @@ class TestNormal:
     def test_symmetric_stream_has_no_endpoint_issues(self):
         xs = SplitMix64(11).normals(1000)
         assert np.isfinite(xs).all()
+
+
+BLOCK_SEEDS = (0, 7, 2**63, (1 << 64) - 1, 1234567890123456789)
+BLOCK_SIZES = (0, 1, 13, 30000)
+
+
+class TestBlockDraws:
+    """uniforms/normals draw a numpy block; it must equal the scalar loop bit
+    for bit and leave the stream where the loop would."""
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_uniforms_equal_scalar_loop(self, seed, n):
+        block, loop = SplitMix64(seed), SplitMix64(seed)
+        got = block.uniforms(n, -0.3, 0.7)
+        want = np.array([loop.uniform(-0.3, 0.7) for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block.next_u64() == reference_splitmix64(seed, n + 1)[n]
+
+    @pytest.mark.parametrize("seed", BLOCK_SEEDS)
+    @pytest.mark.parametrize("n", BLOCK_SIZES)
+    def test_normals_equal_scalar_loop(self, seed, n):
+        # Seed 7 at n=30000 has tail draws where np.log and math.log differ
+        # in the last place, so a block that took np.log fails here.
+        block, loop = SplitMix64(seed), SplitMix64(seed)
+        got = block.normals(n)
+        want = np.array([loop.normal() for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert block.next_u64() == reference_splitmix64(seed, n + 1)[n]
+
+    @pytest.mark.parametrize("n", (0, -1, -5))
+    def test_non_positive_n_draws_nothing(self, n):
+        rng = SplitMix64(123)
+        for draw in (rng.uniforms(n, 2.0, 3.0), rng.normals(n)):
+            assert draw.dtype == np.float64 and draw.shape == (0,)
+        assert rng.next_u64() == reference_splitmix64(123, 1)[0]
+
+    def test_wraparound_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            SplitMix64((1 << 64) - 1).uniforms(1)
+            SplitMix64((1 << 64) - 1).normals(1)
 
 
 class TestInverseNormalCdf:

@@ -245,6 +245,24 @@ class TestWriteDataset:
         assert read_trials(paths["trials"]) == ds.trials
         assert read_scenarios(paths["scenarios"], catalog) == ds.scenarios
 
+    def test_files_pinned_across_versions(self, tmp_path):
+        # sha256 of every file of one noisy dataset, recorded when noise was
+        # still drawn one item at a time: a seed must give the same files in
+        # every version, not just within one run.
+        from toolmatch.formats import sha256_file
+
+        want = {
+            "catalog": "d70a1e47b28a9d98e75b507d9d78a1d7fe46513c06f3bfcd021d5174bd8e8009",
+            "visual": "5a0b58300277e3e9b3afedcfa1f2a7476297737c740e26225fa9f88b1597eb19",
+            "visual_manifest": "f3dc201fa5f0e52ed9894b797446cc28267ddeb84b3e2b679f238ce6030a9f06",
+            "scenario_embeddings": "29b026df2f04d618268ca193b33ba55a14747a17f73562c5dc248aa78b14b7f5",
+            "scenario_manifest": "47aceaedcbffb5d8f2004fbc9f603f8c17ccf51588c79708f841dd6ac6bd3596",
+            "scenarios": "f340d17831a64d1a03c43a50ecb6e65498c63c42a753b9f48ff9c28a28a4992b",
+            "trials": "50e9e8b6241e79e749a568df2f74314bb1e5ae194ce56213435e3cc2ffab7ab8",
+        }
+        paths = write_dataset(generate(tiny_spec(noise_sigma=0.3)), tmp_path)
+        assert {key: sha256_file(paths[key]) for key in DATASET_FILENAMES} == want
+
     def test_writes_are_byte_identical_across_runs(self, tmp_path):
         from toolmatch.formats import sha256_file
 
