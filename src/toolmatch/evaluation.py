@@ -21,8 +21,8 @@ from toolmatch.domain import (
     MatchingTrial,
     ToolCatalog,
 )
-from toolmatch.similarity import AblationMask, SimilarityError, rank_candidates, select_tool
-from toolmatch.similarity import cosine_similarity  # noqa: F401  patched here by toolbench/tracing.py
+from toolmatch.similarity import AblationMask, best_ids, rank_rows, score_batch
+from toolmatch.similarity import cosine_similarity, rank_candidates  # noqa: F401  patched here by toolbench/tracing.py
 
 
 @dataclass
@@ -128,34 +128,42 @@ def most_similar_class_accuracy(
     """Fraction of predictions whose cosine-nearest catalog vector belongs to
     the true tool category; ties go to the lower tool_id.
 
-    Items whose prediction cannot be scored (zero norm after masking) are
-    counted incorrect, and their positions in ``preds`` are listed in
+    All predictions are scored against the catalog as one (items, tools)
+    matrix. Items whose prediction cannot be scored (zero norm after masking)
+    are counted incorrect, and their positions in ``preds`` are listed in
     ``details.failed_items``.
     """
     if not preds:
         raise ValueError("need at least one prediction")
-    catalog_pairs = [(t.tool_id, t.attributes) for t in catalog]
-    correct = 0
-    failed: list[int] = []
-    for position, (true_tool, vec) in enumerate(preds):
-        try:
-            best_tool, _ = select_tool(clamp_vector(vec) if clamp else vec, catalog_pairs, mask=mask)
-        except SimilarityError:
-            failed.append(position)
-            continue
-        correct += int(best_tool == true_tool)
+    true_tools = np.array([tool for tool, _ in preds])
+    queries = np.array([vec for _, vec in preds], dtype=np.float64)
+    if clamp:
+        queries = clamp_vector(queries)
+    tool_ids = np.array([t.tool_id for t in catalog])
+    scores, spoiled = score_batch(queries, catalog.attribute_matrix(), mask=mask)
+    scored = spoiled < 0
     report = EvaluationReport(
         metric_name="most_similar_class_accuracy",
-        numerator=correct,
+        numerator=int((scored & (best_ids(scores, tool_ids) == true_tools)).sum()),
         denominator=len(preds),
         config={"mask": sorted(mask.removed) if mask else [], "clamp": clamp},
     )
-    if failed:
-        report.details["failed_items"] = failed
+    if not scored.all():
+        report.details["failed_items"] = np.flatnonzero(~scored).tolist()
     return report
 
 
 PredictFn = Callable[[int], np.ndarray]
+
+
+def _gather(predict: PredictFn, ids: np.ndarray, clamp: bool) -> np.ndarray:
+    """Predictions for an array of item ids, shaped ``ids.shape + (13,)``;
+    each distinct id is fetched through ``predict`` once."""
+    distinct, inverse = np.unique(ids, return_inverse=True)
+    table = np.array([predict(int(i)) for i in distinct], dtype=np.float64)
+    if clamp:
+        table = clamp_vector(table)
+    return table[inverse.reshape(ids.shape)]
 
 
 def matching_accuracy(
@@ -171,51 +179,41 @@ def matching_accuracy(
     is the target item.
 
     The query is the scenario item's predicted attribute vector; candidates
-    are the candidate items' predictions. Trials whose scoring fails are
-    counted incorrect and flagged, keeping the denominator stable.
+    are the candidate items' predictions. Every trial is scored in one pass
+    over a (trials, 10) score matrix. Trials whose scoring fails are counted
+    incorrect and flagged, keeping the denominator stable.
     """
     if not trials:
         raise ValueError("need at least one trial")
-    correct = 0
-    failed: list[int] = []
-    rankings: list[dict] = []
-    for trial in trials:
-        query = np.asarray(predict_scenario(trial.scenario_item_id), dtype=np.float64)
-        candidates = [
-            (iid, np.asarray(predict_candidate(iid), dtype=np.float64))
-            for iid in trial.candidate_item_ids
-        ]
-        if clamp:
-            query = clamp_vector(query)
-            candidates = [(iid, clamp_vector(v)) for iid, v in candidates]
-        try:
-            ranked = rank_candidates(query, candidates, metric=metric, mask=mask)
-        except SimilarityError:
-            failed.append(trial.trial_id)
-            continue
-        selected = ranked[0][0]
-        hit = selected == trial.target_item_id
-        correct += int(hit)
-        if collect_rankings:
-            rankings.append(
-                {
-                    "trial_id": trial.trial_id,
-                    "target_item_id": trial.target_item_id,
-                    "selected_item_id": selected,
-                    "correct": bool(hit),
-                    "ranking": [[iid, score] for iid, score in ranked],
-                }
-            )
+    candidate_ids = np.array([t.candidate_item_ids for t in trials])
+    targets = np.array([t.target_item_id for t in trials])
+    queries = _gather(predict_scenario, np.array([t.scenario_item_id for t in trials]), clamp)
+    candidates = _gather(predict_candidate, candidate_ids, clamp)
+    scores, spoiled = score_batch(queries, candidates, metric=metric, mask=mask)
+    scored = spoiled < 0
+    hits = scored & (best_ids(scores, candidate_ids) == targets)
     report = EvaluationReport(
         metric_name="matching_accuracy",
-        numerator=correct,
+        numerator=int(hits.sum()),
         denominator=len(trials),
         config={"metric": metric, "mask": sorted(mask.removed) if mask else [], "clamp": clamp},
     )
-    if failed:
-        report.details["failed_trials"] = failed
+    if not scored.all():
+        report.details["failed_trials"] = [trials[i].trial_id for i in np.flatnonzero(~scored)]
     if collect_rankings:
-        report.details["per_trial"] = rankings
+        order = rank_rows(scores, candidate_ids)
+        ranked_ids = np.take_along_axis(candidate_ids, order, axis=1).tolist()
+        ranked_scores = np.take_along_axis(scores, order, axis=1).tolist()
+        report.details["per_trial"] = [
+            {
+                "trial_id": trials[i].trial_id,
+                "target_item_id": trials[i].target_item_id,
+                "selected_item_id": ranked_ids[i][0],
+                "correct": bool(hits[i]),
+                "ranking": [[iid, score] for iid, score in zip(ranked_ids[i], ranked_scores[i])],
+            }
+            for i in np.flatnonzero(scored)
+        ]
     return report
 
 

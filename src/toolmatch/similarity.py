@@ -1,4 +1,11 @@
-"""Similarity scoring, candidate ranking, and attribute masking for ablations."""
+"""Similarity scoring, candidate ranking, and attribute masking for ablations.
+
+:func:`score_batch` is the one scoring path: it scores a batch of queries
+against their candidates in one numpy pass. Ranking one query
+(:func:`rank_candidates`, :func:`select_tool`) and scoring one pair
+(:func:`cosine_similarity`, :func:`negative_euclidean`) are its batch-of-one
+cases.
+"""
 
 from __future__ import annotations
 
@@ -20,36 +27,30 @@ class SimilarityError(ValueError):
         self.item_id = item_id
 
 
-def _score_rows(query, rows, metric: str, ids: Sequence[int] | None = None) -> np.ndarray:
-    """Score one query against every row of an (n, k) matrix.
+def _zero_norm_error(position: int, ids: Sequence[int] | None = None) -> SimilarityError:
+    """The error for a spoiled row, naming ``ids[position]`` when ids are given."""
+    message = "cosine similarity undefined for zero-norm vector"
+    if ids is None:
+        return SimilarityError(message)
+    cid = ids[position]
+    return SimilarityError(f"candidate {cid}: {message}", item_id=cid)
 
-    A zero-norm cosine failure names the first row it spoils (row 0 when the
-    query itself has zero norm) by its entry in ``ids``, when given.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.shape[1:] != query.shape:
-        raise SimilarityError(f"length mismatch: {query.shape} vs {rows.shape[1:]}")
-    if metric == "negative_euclidean":
-        return -np.linalg.norm(rows - query, axis=1)
-    # Both norms take the same reduction, so cosine stays exactly symmetric.
-    q_norm = np.sqrt((query * query).sum())
-    norms = np.sqrt((rows * rows).sum(axis=1))
-    if q_norm == 0.0 or not norms.all():
-        message = "cosine similarity undefined for zero-norm vector"
-        if ids is None:
-            raise SimilarityError(message)
-        cid = ids[0 if q_norm == 0.0 else int(np.flatnonzero(norms == 0.0)[0])]
-        raise SimilarityError(f"candidate {cid}: {message}", item_id=cid)
-    return (rows * query).sum(axis=1) / (q_norm * norms)
+
+def _score_pair(a: np.ndarray, b: np.ndarray, metric: str) -> float:
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    scores, spoiled = score_batch(a[None], b[None], metric)
+    if spoiled[0] >= 0:
+        raise _zero_norm_error(0)
+    return float(scores[0, 0])
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    return float(_score_rows(a, [b], "cosine")[0])
+    return _score_pair(a, b, "cosine")
 
 
 def negative_euclidean(a: np.ndarray, b: np.ndarray) -> float:
-    return float(_score_rows(a, [b], "negative_euclidean")[0])
+    return _score_pair(a, b, "negative_euclidean")
 
 
 METRICS = {"cosine": cosine_similarity, "negative_euclidean": negative_euclidean}
@@ -103,6 +104,64 @@ def apply_mask(v: np.ndarray, mask: AblationMask | None) -> np.ndarray:
     return np.take(v, mask.kept, axis=-1)
 
 
+def score_batch(
+    queries: np.ndarray,
+    candidates: np.ndarray,
+    metric: str = "cosine",
+    mask: AblationMask | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every query against its candidates in one pass.
+
+    ``queries`` is (n, k); ``candidates`` is (n, m, k), one candidate set per
+    query, or (m, k), one set shared by every query. The mask drops its
+    attribute columns from both first. Returns ``(scores, spoiled)``: the
+    (n, m) scores, and per query the position of the first candidate that a
+    zero-norm cosine failure spoils (0 when the query itself has zero norm),
+    or -1 when the row scored. A spoiled row's scores mean nothing.
+
+    Products are formed in fresh C-ordered arrays and summed along the last
+    axis, so each row sums in the same order whatever the batch size: a batch
+    of one gives the same bits as a batch of thousands.
+    """
+    resolve_metric(metric)  # rejects unknown names
+    queries = apply_mask(queries, mask)
+    candidates = apply_mask(candidates, mask)
+    if (queries.ndim != 2 or candidates.ndim not in (2, 3) or candidates.shape[-1] != queries.shape[1]
+            or candidates.ndim == 3 and len(candidates) != len(queries)):
+        raise SimilarityError(f"length mismatch: queries {queries.shape} vs candidates {candidates.shape}")
+    rows = candidates if candidates.ndim == 3 else candidates[None]
+    spoiled = np.full(len(queries), -1)
+    if metric == "negative_euclidean":
+        return -np.linalg.norm(rows - queries[:, None, :], axis=-1), spoiled
+    # Both norms take the same reduction, so cosine stays exactly symmetric.
+    q_norm = np.sqrt((queries * queries).sum(axis=-1))
+    norms = np.sqrt((rows * rows).sum(axis=-1))
+    dots = (rows * queries[:, None, :]).sum(axis=-1)
+    denominator = q_norm[:, None] * norms
+    if not (q_norm.all() and norms.all()):
+        zero_rows = norms == 0.0
+        spoiled = np.where(q_norm == 0.0, 0, np.where(zero_rows.any(axis=-1), zero_rows.argmax(axis=-1), -1))
+        denominator[spoiled >= 0] = 1.0  # spoiled rows divide without warnings
+    return dots / denominator, spoiled
+
+
+def rank_rows(scores: np.ndarray, ids) -> np.ndarray:
+    """Per row of ``scores`` (or for one 1-D row), candidate positions best
+    first: ties go to the lower id and NaN scores rank last. ``ids`` is
+    shaped like ``scores``."""
+    return np.lexsort((ids, -scores), axis=-1)
+
+
+def best_ids(scores: np.ndarray, ids) -> np.ndarray:
+    """Per row of ``scores``, the id at the head of its :func:`rank_rows`
+    order, found without sorting. ``ids`` is shaped like ``scores`` or like
+    one of its rows."""
+    ids = np.asarray(ids)
+    top = np.fmax.reduce(scores, axis=-1, keepdims=True)  # NaN only when the whole row is
+    best = (scores == top) | np.isnan(top)
+    return np.where(best, ids, np.iinfo(ids.dtype).max).min(axis=-1)
+
+
 def rank_candidates(
     query: np.ndarray,
     candidates: Sequence[tuple[int, np.ndarray]],
@@ -111,16 +170,18 @@ def rank_candidates(
 ) -> list[tuple[int, float]]:
     """Score candidates against the query, best first, ties broken by ascending id.
 
-    The masked candidates are stacked and scored in one pass. A zero-norm
-    cosine failure carries the id of the first candidate it spoils.
+    The single-query case of :func:`score_batch`. A zero-norm cosine failure
+    carries the id of the first candidate it spoils.
     """
     if not candidates:
         raise ValueError("need at least one candidate")
-    resolve_metric(metric)  # rejects unknown names
-    ids = [cid for cid, _ in candidates]
-    rows = apply_mask([vec for _, vec in candidates], mask)
-    scores = _score_rows(apply_mask(query, mask), rows, metric, ids)
-    return [(ids[i], float(scores[i])) for i in np.lexsort((ids, -scores))]
+    ids, vecs = zip(*candidates)
+    rows = np.asarray(vecs, dtype=np.float64)
+    scores, spoiled = score_batch(np.asarray(query, dtype=np.float64)[None], rows, metric, mask)
+    if spoiled[0] >= 0:
+        raise _zero_norm_error(int(spoiled[0]), ids)
+    row = scores[0].tolist()
+    return [(ids[i], row[i]) for i in rank_rows(scores[0], ids).tolist()]
 
 
 def select_tool(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schemas, config echoes, and
 end-to-end runs over a small noiseless dataset."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -368,6 +369,66 @@ class TestAblate:
         payload = json.loads(err)
         assert "requires" in payload["error"]["message"]
         assert "--language-checkpoint" in payload["error"]["message"]
+
+
+@pytest.fixture(scope="module")
+def noisy(tmp_path_factory):
+    """A sigma 1.5 dataset with both heads trained on it: scores spread out
+    and about half the trials miss, so the pins below see every branch."""
+    out = tmp_path_factory.mktemp("noisy")
+    assert main([
+        "gen-synth", "--tools", "30", "--preset", "small", "--images", "4,3",
+        "--dv", "16", "--dl", "16", "--sigma", "1.5", "--seed", "8", "--out", str(out),
+    ]) == 0
+    for pathway, name in (("visual", "visual"), ("language", "scenarios")):
+        assert main([
+            "train", "--pathway", pathway,
+            "--embeddings", str(out / f"{name}.femb"),
+            "--manifest", str(out / f"{name}_manifest.jsonl"),
+            "--catalog", str(out / "catalog.csv"),
+            "--out", str(out / f"{pathway}.json"),
+            "--hidden", "16", "--lr", "3e-3", "--batch", "8", "--epochs", "30",
+        ]) == 0
+    return out
+
+
+def sha256_json(obj) -> str:
+    """Digest of the JSON text, in which every float is its exact repr."""
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+class TestBitPins:
+    """Digests of report payloads recorded when every trial and item was
+    scored by its own call. Any change to the order in which a score is
+    reduced, or to how ties and failures resolve, changes them."""
+
+    MATCH = {
+        "cosine": "d8f866ddb45443f177011de7ce7d380d3432e8f283ef77005d1104b0e7df70b3",
+        "euclid-clamp-mask": "826b78443bbe9764a3567759f34dfb785a013361990e5f8009a9ecffd842f92d",
+    }
+    ABLATE = {
+        "matching": "292ff48a7d08b80e5148f975b19003bf051fb1100d14b585b991fdfc4e3fb730",
+        "class": "5f6aaa8004643cdd024aa41a252da6269fff48cd7868e0a7363f1b085b5cac0e",
+        "class-clamp": "57633774e576d238ec10c7bc3a7eade839b15c1dca5729df31b5de74b7bd7271",
+    }
+
+    @pytest.mark.parametrize("name,extra", [
+        ("cosine", []),
+        ("euclid-clamp-mask", ["--metric", "euclid", "--clamp", "--mask", "graspability,elongation"]),
+    ])
+    def test_match_per_trial(self, capsys, noisy, name, extra):
+        argv = match_args(noisy, noisy / "visual.json", noisy / "language.json", *extra)
+        report = run_json(capsys, "match", *argv)
+        assert sha256_json(report["report"]["details"]["per_trial"]) == self.MATCH[name]
+
+    @pytest.mark.parametrize("name", ["matching", "class", "class-clamp"])
+    def test_ablate_rows(self, capsys, noisy, name):
+        if name == "matching":
+            argv = match_args(noisy, noisy / "visual.json", noisy / "language.json")
+        else:
+            argv = eval_args(noisy, noisy / "visual.json", *(["--clamp"] if name == "class-clamp" else []))
+        report = run_json(capsys, "ablate", "--which", name.split("-")[0], *argv)
+        assert sha256_json([report["baseline"], *report["rows"]]) == self.ABLATE[name]
 
 
 class TestGradcheck:

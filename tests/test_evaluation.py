@@ -1,11 +1,12 @@
 """Accuracy metrics against small hand-counted fixtures."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from toolmatch.domain import ATTRIBUTE_NAMES, MatchingTrial, ToolCatalog, ToolRecord
+from toolmatch.domain import ATTRIBUTE_NAMES, NUM_ATTRIBUTES, MatchingTrial, ToolCatalog, ToolRecord
 from toolmatch.evaluation import (
     EvaluationReport,
     ablation_sweep,
@@ -15,7 +16,8 @@ from toolmatch.evaluation import (
     most_similar_class_accuracy,
     round_half_up_clamped,
 )
-from toolmatch.similarity import AblationMask
+from toolmatch.rng import SplitMix64
+from toolmatch.similarity import AblationMask, SimilarityError, rank_candidates, select_tool
 
 
 ROUNDING_CASES = [
@@ -292,6 +294,137 @@ class TestMatching:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
             matching_accuracy([], self.lookup, self.lookup)
+
+
+ALL_MASKS = [None] + [AblationMask([i]) for i in range(NUM_ATTRIBUTES)]
+
+
+def random_vectors(seed, n):
+    """Predictions spread over [0, 8], so clamping to [1, 7] changes them."""
+    rng = SplitMix64(seed)
+    return [rng.uniforms(NUM_ATTRIBUTES, 0.0, 8.0) for _ in range(n)]
+
+
+class TestBatchedEquivalence:
+    """The batched metrics against the per-trial and per-item loops they
+    replace, bit for bit, under every single-attribute mask."""
+
+    def setup_method(self):
+        vectors = dict(enumerate(random_vectors(30, 60)))
+        vectors[3] = vectors[7].copy()      # duplicate vectors: id 3 must beat id 7
+        vectors[40] = vectors[12].copy()
+        vectors[50] = np.zeros(NUM_ATTRIBUTES)
+        vectors[50][6] = 4.0                # zero norm only once graspability is masked
+        for k, v in enumerate(random_vectors(31, 10)):
+            vectors[100 + k] = v
+        vectors[105] = np.zeros(NUM_ATTRIBUTES)  # zero-norm query
+        self.vectors = vectors
+        rng = SplitMix64(32)
+        plain = [i for i in range(60) if i not in (3, 7, 12, 40, 50)]
+        trials = []
+        for t in range(40):
+            special = {0: [7, 3, 50], 1: [40, 12]}.get(t % 5, [])
+            candidates = special + rng.sample(plain, 10 - len(special))
+            rng.shuffle(candidates)
+            # A target on a duplicate makes the tie decide the hit.
+            target = candidates.index(special[t % 2]) if special else rng.randint(10)
+            trials.append(make_trial(t, 100 + t % 10, candidates, target))
+        self.trials = trials
+
+    def lookup(self, item_id):
+        return self.vectors[item_id]
+
+    def reference_matching(self, metric, mask, clamp):
+        """One rank_candidates call per trial, as the metric used to score."""
+        rows, failed = [], []
+        for trial in self.trials:
+            query = self.lookup(trial.scenario_item_id)
+            candidates = [(iid, self.lookup(iid)) for iid in trial.candidate_item_ids]
+            if clamp:
+                query = clamp_vector(query)
+                candidates = [(iid, clamp_vector(v)) for iid, v in candidates]
+            try:
+                ranked = rank_candidates(query, candidates, metric=metric, mask=mask)
+            except SimilarityError:
+                failed.append(trial.trial_id)
+                continue
+            rows.append({
+                "trial_id": trial.trial_id,
+                "target_item_id": trial.target_item_id,
+                "selected_item_id": ranked[0][0],
+                "correct": ranked[0][0] == trial.target_item_id,
+                "ranking": [[iid, score] for iid, score in ranked],
+            })
+        return rows, failed
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("metric", ["cosine", "negative_euclidean"])
+    def test_matching_equals_per_trial_loop(self, metric, clamp):
+        failed_by_mask, numerators = [], set()
+        for mask in ALL_MASKS:
+            rows, failed = self.reference_matching(metric, mask, clamp)
+            report = matching_accuracy(self.trials, self.lookup, self.lookup, metric=metric,
+                                       mask=mask, clamp=clamp, collect_rankings=True)
+            # JSON text compares every float by its exact repr.
+            assert json.dumps(report.details["per_trial"]) == json.dumps(rows)
+            assert report.details.get("failed_trials", []) == failed
+            assert report.numerator == sum(r["correct"] for r in rows)
+            assert report.denominator == len(self.trials)
+            plain = matching_accuracy(self.trials, self.lookup, self.lookup, metric=metric, mask=mask, clamp=clamp)
+            assert (plain.numerator, plain.details.get("failed_trials", [])) == (report.numerator, failed)
+            failed_by_mask.append(failed)
+            numerators.add(report.numerator)
+        assert len(numerators) > 1  # the masks do move the count
+        if metric == "cosine" and not clamp:
+            # The zero query fails under every mask, item 50 only once graspability is gone.
+            zero_query = {t.trial_id for t in self.trials if t.scenario_item_id == 105}
+            holds_50 = {t.trial_id for t in self.trials if 50 in t.candidate_item_ids}
+            for mask, failed in zip(ALL_MASKS, failed_by_mask):
+                assert failed == sorted(zero_query | (holds_50 if mask == AblationMask([6]) else set()))
+        else:
+            assert not any(failed_by_mask)
+
+    def test_duplicates_resolve_to_lower_id(self):
+        for trial in self.trials[:2]:
+            report = matching_accuracy([trial], self.lookup, self.lookup, collect_rankings=True)
+            ranking = report.details["per_trial"][0]["ranking"]
+            low, high = (3, 7) if trial.trial_id == 0 else (12, 40)
+            ids = [iid for iid, _ in ranking]
+            assert ranking[ids.index(low)][1] == ranking[ids.index(high)][1]
+            assert ids.index(low) == ids.index(high) - 1
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_class_equals_per_item_loop(self, clamp):
+        attributes = random_vectors(33, 15)
+        attributes[9] = attributes[4].copy()  # tied tools: 4 must win over 9
+        catalog = ToolCatalog([ToolRecord(i, f"tool{i}", np.clip(a, 1.0, 7.0)) for i, a in enumerate(attributes)])
+        rng = SplitMix64(34)
+        preds = [(rng.randint(15), v) for v in random_vectors(35, 50)]
+        preds[2] = (5, np.zeros(NUM_ATTRIBUTES))         # fails under cosine: listed by position 2
+        only_6 = np.zeros(NUM_ATTRIBUTES)
+        only_6[6] = 3.0
+        preds[7] = (1, only_6)                           # fails only with graspability masked
+        preds[11] = (9, catalog.get(9).attributes.copy())  # ties 4 and 9: scores incorrect
+        preds[12] = (4, catalog.get(4).attributes.copy())  # ties 4 and 9: scores correct
+        catalog_pairs = [(t.tool_id, t.attributes) for t in catalog]
+        for mask in ALL_MASKS:
+            correct, failed = 0, []
+            for position, (tool, vec) in enumerate(preds):
+                try:
+                    best, _ = select_tool(clamp_vector(vec) if clamp else vec, catalog_pairs, mask=mask)
+                except SimilarityError:
+                    failed.append(position)
+                    continue
+                correct += int(best == tool)
+            report = most_similar_class_accuracy(preds, catalog, mask, clamp=clamp)
+            assert (report.numerator, report.denominator) == (correct, len(preds))
+            assert report.details.get("failed_items", []) == failed
+            if not clamp:
+                assert failed == ([2, 7] if mask == AblationMask([6]) else [2])
+            else:
+                assert failed == []
+        for position, want in ((11, 0), (12, 1)):
+            assert most_similar_class_accuracy([preds[position]], catalog).numerator == want
 
 
 class TestAblationSweep:

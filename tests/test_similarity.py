@@ -14,10 +14,13 @@ from toolmatch.similarity import (
     AblationMask,
     SimilarityError,
     apply_mask,
+    best_ids,
     cosine_similarity,
     negative_euclidean,
     rank_candidates,
+    rank_rows,
     resolve_metric,
+    score_batch,
     select_tool,
 )
 
@@ -267,3 +270,69 @@ class TestRanking:
         sliced = [(i, v[keep]) for i, v in cands]
         want = rank_candidates(query[keep], sliced, metric="cosine")
         assert got == want
+
+
+class TestScoreBatch:
+    def setup_method(self):
+        rng = SplitMix64(23)
+        self.queries = np.array([rng.uniforms(13, 0, 8) for _ in range(300)])
+        self.cands = np.array([[rng.uniforms(13, 0, 8) for _ in range(10)] for _ in range(300)])
+
+    @pytest.mark.parametrize("removed", [(), (6,), (0, 12)])
+    def test_rows_equal_one_vector_arithmetic(self, removed):
+        # The reference scores each query alone with 1-D sums, as a single
+        # vector pair would be scored; the batch must give the same bits.
+        mask = AblationMask(removed)
+        keep = mask.kept
+        cos, spoiled = score_batch(self.queries, self.cands, "cosine", mask)
+        euc, _ = score_batch(self.queries, self.cands, "negative_euclidean", mask)
+        assert (spoiled == -1).all()
+        for q, rows, got_cos, got_euc in zip(self.queries, self.cands, cos, euc):
+            q, rows = q[keep], [r[keep] for r in rows]
+            want_cos = [(r * q).sum() / (np.sqrt((q * q).sum()) * np.sqrt((r * r).sum())) for r in rows]
+            want_euc = [-np.sqrt(((r - q) * (r - q)).sum()) for r in rows]
+            assert got_cos.tobytes() == np.array(want_cos).tobytes()
+            assert got_euc.tobytes() == np.array(want_euc).tobytes()
+
+    def test_shared_candidates_equal_repeated_ones(self):
+        shared = self.cands[0]
+        for metric in METRIC_NAMES:
+            once, _ = score_batch(self.queries, shared, metric)
+            repeated, _ = score_batch(self.queries, np.repeat(shared[None], len(self.queries), axis=0), metric)
+            assert once.tobytes() == repeated.tobytes()
+
+    def test_spoiled_rows_name_first_zero_candidate(self):
+        queries = self.queries[:4].copy()
+        cands = self.cands[:4].copy()
+        queries[1] = 0.0
+        cands[2, 3] = 0.0
+        cands[2, 7] = 0.0
+        cands[3, 5] = 0.0
+        cands[3, 5, 6] = 2.0  # zero only once graspability is masked
+        _, spoiled = score_batch(queries, cands, "cosine")
+        assert spoiled.tolist() == [-1, 0, 3, -1]
+        _, spoiled = score_batch(queries, cands, "cosine", AblationMask([6]))
+        assert spoiled.tolist() == [-1, 0, 3, 5]
+        _, spoiled = score_batch(queries, cands, "negative_euclidean")
+        assert spoiled.tolist() == [-1, -1, -1, -1]
+
+    def test_shape_checks(self):
+        with pytest.raises(SimilarityError, match="mismatch"):
+            score_batch(self.queries, self.cands[:5])
+        with pytest.raises(SimilarityError, match="mismatch"):
+            score_batch(self.queries[0], self.cands[0])
+        with pytest.raises(ValueError, match="unknown metric"):
+            score_batch(self.queries, self.cands, "dot")
+
+    def test_best_ids_heads_rank_order(self):
+        # Few distinct scores force ties; NaN scores, and one all-NaN row, rank last.
+        rng = SplitMix64(24)
+        scores = np.array([[float(rng.randint(3)) for _ in range(10)] for _ in range(200)])
+        scores[::7, 2] = np.nan
+        scores[5] = np.nan
+        ids = np.array([rng.sample(range(1000), 10) for _ in range(200)])
+        order = rank_rows(scores, ids)
+        assert (best_ids(scores, ids) == np.take_along_axis(ids, order, axis=1)[:, 0]).all()
+        for row, ids_row, order_row in zip(scores, ids, order):
+            key = [(math.isnan(s), -s if not math.isnan(s) else 0.0, i) for s, i in zip(row, ids_row)]
+            assert order_row.tolist() == sorted(range(10), key=key.__getitem__)
