@@ -163,67 +163,153 @@ class EmbeddingRecord:
 class EmbeddingSet:
     """In-memory embedding provider: O(1) item lookup, split enumeration.
 
-    Frozen-backbone semantics: the vector returned for an item never changes.
-    All vectors share one dimension; computation is done in float64.
+    Columnar: ``item_ids``, ``tool_ids`` and ``split_codes`` (an index into
+    ``VALID_SPLITS``) sit beside one read-only ``(n, dim)`` float64 matrix
+    ``vectors``, row ``r`` of each column describing the same item, rows in
+    the order given. Frozen-backbone semantics: the vector returned for an
+    item never changes.
     """
 
     def __init__(self, records: Iterable[EmbeddingRecord]):
         records = list(records)
-        if not records:
-            raise ValueError("embedding set must contain at least one record")
-        dim = records[0].embedding.shape[0]
-        by_id: dict[int, EmbeddingRecord] = {}
-        for rec in records:
+        dim = records[0].embedding.shape[0] if records else 0
+        vectors = np.empty((len(records), dim))
+        for row, rec in enumerate(records):
             if rec.embedding.shape[0] != dim:
                 raise ValueError(
                     f"item {rec.item_id}: embedding dimension {rec.embedding.shape[0]} "
                     f"differs from dataset dimension {dim}"
                 )
-            if rec.item_id in by_id:
-                raise ValueError(f"duplicate item_id {rec.item_id}")
-            by_id[rec.item_id] = rec
-        self.dim = dim
-        self._by_id = by_id
-        self._splits: dict[str, list[int]] = {s: [] for s in VALID_SPLITS}
-        for iid in sorted(by_id):
-            self._splits[by_id[iid].split].append(iid)
+            vectors[row] = rec.embedding
+        self._set_columns(
+            [r.item_id for r in records], [r.tool_id for r in records],
+            [r.split for r in records], vectors,
+        )
+
+    @classmethod
+    def from_arrays(cls, item_ids, tool_ids, splits, vectors) -> "EmbeddingSet":
+        """Build a set from whole columns: ids, tool ids, split names, (n, dim) vectors.
+
+        A float64 ``vectors`` array is kept without a copy, so the caller
+        hands it over and must not write to it afterwards; the id and tool
+        columns are copied.
+        """
+        self = cls.__new__(cls)
+        self._set_columns(item_ids, tool_ids, splits, vectors)
+        return self
+
+    def _set_columns(self, item_ids, tool_ids, splits, vectors) -> None:
+        """Validate the four columns together and adopt them, read-only."""
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.ndim != 2:
+            raise ValueError(f"vectors must be an (n, dim) matrix, got shape {vectors.shape}")
+        ids = _int_column("item_ids", item_ids)
+        tools = _int_column("tool_ids", tool_ids)
+        splits = np.asarray(splits)
+        if splits.ndim != 1:
+            raise ValueError(f"splits must be one-dimensional, got shape {splits.shape}")
+        lengths = (len(ids), len(tools), len(splits), len(vectors))
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                "column lengths differ: {} item_ids, {} tool_ids, {} splits, {} vectors".format(*lengths)
+            )
+        if not len(ids):
+            raise ValueError("embedding set must contain at least one record")
+        if vectors.shape[1] == 0:
+            raise ValueError("embeddings must be non-empty vectors, got dimension 0")
+        if ids.min() < 0:
+            raise ValueError(f"item_id must be non-negative, got {ids.min()}")
+        codes = np.full(len(ids), len(VALID_SPLITS), dtype=np.uint8)
+        for code, name in enumerate(VALID_SPLITS):
+            codes[splits == name] = code
+        bad = codes == len(VALID_SPLITS)
+        if bad.any():
+            raise ValueError(
+                f"split must be one of {VALID_SPLITS}, got {splits.tolist()[int(np.argmax(bad))]!r}"
+            )
+        row_of = dict(zip(ids.tolist(), range(len(ids))))
+        if len(row_of) != len(ids):
+            unique, counts = np.unique(ids, return_counts=True)
+            raise ValueError(f"duplicate item_id {unique[counts > 1][0]}")
+
+        vectors = vectors.view()
+        for column in (ids, tools, codes, vectors):
+            column.flags.writeable = False
+        self.item_ids, self.tool_ids, self.split_codes, self.vectors = ids, tools, codes, vectors
+        self.dim = vectors.shape[1]
+        self._row_of = row_of
+        self._ascending = bool((ids[1:] > ids[:-1]).all())
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self.item_ids)
 
     def __contains__(self, item_id: int) -> bool:
-        return item_id in self._by_id
+        return item_id in self._row_of
 
-    def record(self, item_id: int) -> EmbeddingRecord:
+    def _row(self, item_id: int) -> int:
         try:
-            return self._by_id[item_id]
+            return self._row_of[item_id]
         except KeyError:
             raise KeyError(f"item_id {item_id} not in embedding set") from None
 
+    def record(self, item_id: int) -> EmbeddingRecord:
+        row = self._row(item_id)
+        return EmbeddingRecord(
+            item_id=int(self.item_ids[row]),
+            tool_id=int(self.tool_ids[row]),
+            split=VALID_SPLITS[self.split_codes[row]],
+            embedding=self.vectors[row],
+        )
+
     def vector(self, item_id: int) -> np.ndarray:
-        return self.record(item_id).embedding
+        """The item's row of ``vectors``: a read-only view."""
+        return self.vectors[self._row(item_id)]
 
     def tool_of(self, item_id: int) -> int:
-        return self.record(item_id).tool_id
+        return int(self.tool_ids[self._row(item_id)])
+
+    def ascending_rows(self) -> np.ndarray | None:
+        """Row order that sorts the item ids, or None when they already ascend."""
+        return None if self._ascending else np.argsort(self.item_ids, kind="stable")
 
     def items(self, split: str | None = None) -> list[int]:
         """Item ids in ascending order, optionally restricted to one split."""
-        if split is None:
-            return sorted(self._by_id)
-        if split not in VALID_SPLITS:
-            raise ValueError(f"split must be one of {VALID_SPLITS}, got {split!r}")
-        return list(self._splits[split])
+        ids = self.item_ids
+        if split is not None:
+            if split not in VALID_SPLITS:
+                raise ValueError(f"split must be one of {VALID_SPLITS}, got {split!r}")
+            ids = ids[self.split_codes == VALID_SPLITS.index(split)]
+        return ids.tolist() if self._ascending else sorted(ids.tolist())
 
     def matrix(self, item_ids: Sequence[int]) -> np.ndarray:
-        """Stack the given items' vectors into an (n, dim) float64 matrix."""
-        return np.stack([self.vector(i) for i in item_ids]) if item_ids else np.zeros((0, self.dim))
+        """The given items' vectors as a new (n, dim) float64 matrix."""
+        if not len(item_ids):
+            return np.zeros((0, self.dim))
+        try:
+            rows = [self._row_of[i] for i in item_ids]
+        except KeyError as exc:
+            raise KeyError(f"item_id {exc.args[0]} not in embedding set") from None
+        return self.vectors[rows]
 
     def check_tool_ids(self, catalog: ToolCatalog) -> None:
-        """Reject records whose tool_id is missing from the companion catalog."""
-        for iid in sorted(self._by_id):
-            tid = self._by_id[iid].tool_id
-            if tid not in catalog:
-                raise ValueError(f"item {iid} references tool_id {tid} not in catalog")
+        """Reject items whose tool_id is missing from the companion catalog."""
+        unknown = ~np.isin(self.tool_ids, catalog.tool_ids())
+        if unknown.any():
+            row = int(np.flatnonzero(unknown)[np.argmin(self.item_ids[unknown])])
+            raise ValueError(
+                f"item {self.item_ids[row]} references tool_id {self.tool_ids[row]} not in catalog"
+            )
+
+
+def _int_column(name: str, values) -> np.ndarray:
+    """A 1-D int64 copy, so later writes to ``values`` cannot reach the set; rejects non-integers."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    if arr.size and (arr.dtype.kind not in "iu"
+                     or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)):
+        raise ValueError(f"{name} must be 64-bit signed integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

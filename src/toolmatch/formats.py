@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -28,7 +29,6 @@ from toolmatch.domain import (
     ToolRecord,
     VALID_SPLITS,
 )
-from toolmatch.evaluation import round_half_up_clamped
 from toolmatch.nn import LAYER_NORM_EPSILON, DenseLayer, LayerNormParams, MlpHead, validate_layer_dims
 from toolmatch.training import HeadConfig, TrainedHead
 
@@ -63,10 +63,39 @@ def _jsonl_lines(path) -> Iterable[tuple[int, dict]]:
         yield lineno, obj
 
 
-def _require_keys(obj: dict, keys: Sequence[str], where: str) -> None:
-    for key in keys:
-        if key not in obj:
-            raise FormatError(f"{where}: missing required field {key!r}")
+_JSON_KINDS = {  # (one, many)
+    int: ("an integer", "integers"), np.int64: ("a 64-bit signed integer", "64-bit signed integers"),
+    float: ("a number", "numbers"), str: ("a string", "strings"),
+    list: ("a list", "lists"), dict: ("an object", "objects"),
+}
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def _is_kind(value, kind: type) -> bool:
+    """Whether a parsed JSON value has one JSON type; true and false are never numbers."""
+    if kind is int:
+        return type(value) is int
+    if kind is np.int64:
+        return type(value) is int and _INT64_MIN <= value <= _INT64_MAX
+    if kind is float:
+        return type(value) in (int, float)
+    return type(value) is kind
+
+
+def _field(obj: dict, key: str, kind: type, where: str, of: type | None = None):
+    """``obj[key]`` if present with JSON type ``kind`` (a list's items type ``of``), else FormatError.
+
+    A float, string or boolean is never an integer. Kind ``np.int64`` is an
+    integer that also fits the int64 columns of an embedding set.
+    """
+    try:
+        value = obj[key]
+    except KeyError:
+        raise FormatError(f"{where}: missing required field {key!r}") from None
+    if not (_is_kind(value, kind) and (of is None or all(_is_kind(v, of) for v in value))):
+        want = _JSON_KINDS[kind][0] + (f" of {_JSON_KINDS[of][1]}" if of else "")
+        raise FormatError(f"{where}: field {key!r} must be {want}, got {json.dumps(value)[:40]}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +163,6 @@ def load_catalog(path) -> ToolCatalog:
         raise FormatError(f"{path}: {exc}") from None
 
 
-def rounded_truths(catalog: ToolCatalog) -> dict[int, np.ndarray]:
-    """Integer-rounded truth vector per tool, using the metric rounding rule."""
-    return {t.tool_id: round_half_up_clamped(t.attributes) for t in catalog}
-
-
 def save_catalog(catalog: ToolCatalog, path) -> None:
     """Write a catalog CSV that load_catalog accepts byte-for-byte."""
     rows = [CATALOG_HEADER]
@@ -156,38 +180,49 @@ def save_catalog(catalog: ToolCatalog, path) -> None:
 # Binary embedding files + JSONL manifests
 
 
-def write_embeddings(records: Sequence[EmbeddingRecord], path, manifest_path) -> None:
-    """Write embeddings as little-endian binary plus a JSONL split manifest."""
-    dim = records[0].embedding.shape[0] if records else 0
-    seen: set[int] = set()
-    for rec in records:
-        if rec.embedding.shape[0] != dim:
-            raise FormatError(
-                f"item {rec.item_id}: dimension {rec.embedding.shape[0]} differs from first record's {dim}"
-            )
-        if rec.item_id in seen:
-            raise FormatError(f"duplicate item_id {rec.item_id}")
-        seen.add(rec.item_id)
+_MANIFEST_LINE = '{"item_id":%d,"tool_id":%d,"split":"%s"}\n'  # json.dumps(..., separators=(",", ":"))
 
-    parts = [struct.pack("<4sIIQ", EMBEDDING_MAGIC, EMBEDDING_VERSION, dim, len(records))]
-    manifest_lines = []
-    for rec in records:
-        parts.append(struct.pack("<Q", rec.item_id))
-        parts.append(np.asarray(rec.embedding, dtype="<f4").tobytes())
-        manifest_lines.append(json.dumps(
-            {"item_id": rec.item_id, "tool_id": rec.tool_id, "split": rec.split},
-            separators=(",", ":"),
-        ))
-    Path(path).write_bytes(b"".join(parts))
-    Path(manifest_path).write_text(
-        "".join(line + "\n" for line in manifest_lines), encoding="utf-8"
-    )
+
+def write_embeddings(embeddings: EmbeddingSet | Sequence[EmbeddingRecord], path, manifest_path) -> None:
+    """Write embeddings as little-endian binary plus a JSONL split manifest.
+
+    A set is written in ascending item id order, a sequence of records in
+    its own order (an empty one gives a header-only file).
+    """
+    if isinstance(embeddings, EmbeddingSet):
+        order = embeddings.ascending_rows()
+    elif embeddings:
+        try:
+            embeddings, order = EmbeddingSet(embeddings), None
+        except ValueError as exc:
+            raise FormatError(str(exc)) from None
+    else:
+        with open(path, "wb") as fh:
+            fh.write(struct.pack("<4sIIQ", EMBEDDING_MAGIC, EMBEDDING_VERSION, 0, 0))
+        Path(manifest_path).write_text("", encoding="utf-8")
+        return
+    ids, tools, codes, vectors = (embeddings.item_ids, embeddings.tool_ids,
+                                  embeddings.split_codes, embeddings.vectors)
+    rank = slice(None)
+    if order is not None:
+        ids, tools, codes, rank = ids[order], tools[order], codes[order], np.argsort(order)
+    count, dim = vectors.shape
+    block = np.empty(count, dtype=[("item_id", "<u8"), ("vec", "<f4", (dim,))])
+    block["item_id"] = ids
+    block["vec"][rank] = vectors  # scattered into place: no sorted copy of the matrix
+    names = [VALID_SPLITS[c] for c in codes.tolist()]
+    lines = [_MANIFEST_LINE % row for row in zip(ids.tolist(), tools.tolist(), names)]
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<4sIIQ", EMBEDDING_MAGIC, EMBEDDING_VERSION, dim, count))
+        block.tofile(fh)
+    Path(manifest_path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_embeddings(path, manifest_path) -> EmbeddingSet:
     """Load a binary embedding file and its manifest into an embedding set.
 
-    Stored 32-bit values are widened to 64-bit for all downstream math.
+    Rows keep the file's order. Stored 32-bit values are widened to 64-bit
+    for all downstream math.
     """
     data = Path(path).read_bytes()
     if len(data) < _EMBEDDING_HEADER_BYTES:
@@ -212,45 +247,39 @@ def read_embeddings(path, manifest_path) -> EmbeddingSet:
         )
     if count == 0:
         raise FormatError(f"{path}: embedding file contains no records")
+    if dim == 0:
+        raise FormatError(f"{path}: embedding dimension is 0")
 
     record_dtype = np.dtype([("item_id", "<u8"), ("vec", "<f4", (dim,))])
     raw = np.frombuffer(data, dtype=record_dtype, count=count, offset=_EMBEDDING_HEADER_BYTES)
-    ids = [int(i) for i in raw["item_id"]]
-    if len(set(ids)) != len(ids):
-        dup = next(i for i in ids if ids.count(i) > 1)
-        raise FormatError(f"{path}: duplicate item_id {dup}")
+    if int(raw["item_id"].max()) > _INT64_MAX:
+        raise FormatError(f"{path}: item_id {int(raw['item_id'].max())} exceeds 2**63 - 1")
+    ids = raw["item_id"].astype(np.int64)
+    row_of = dict(zip(ids.tolist(), range(count)))
+    if len(row_of) != count:
+        unique, counts = np.unique(ids, return_counts=True)
+        raise FormatError(f"{path}: duplicate item_id {unique[counts > 1][0]}")
 
-    meta: dict[int, tuple[int, str]] = {}
-    id_set = set(ids)
+    tool_ids = np.zeros(count, dtype=np.int64)
+    splits: list[str | None] = [None] * count
     for lineno, obj in _jsonl_lines(manifest_path):
-        _require_keys(obj, ("item_id", "tool_id", "split"), f"{manifest_path}: line {lineno}")
-        item_id = int(obj["item_id"])
-        if item_id not in id_set:
-            raise FormatError(
-                f"{manifest_path}: line {lineno}: manifest references unknown item_id {item_id}"
-            )
-        if item_id in meta:
-            raise FormatError(f"{manifest_path}: line {lineno}: duplicate manifest entry for item_id {item_id}")
-        split = obj["split"]
+        where = f"{manifest_path}: line {lineno}"
+        item_id = _field(obj, "item_id", np.int64, where)
+        row = row_of.get(item_id)
+        if row is None:
+            raise FormatError(f"{where}: manifest references unknown item_id {item_id}")
+        if splits[row] is not None:
+            raise FormatError(f"{where}: duplicate manifest entry for item_id {item_id}")
+        split = _field(obj, "split", str, where)
         if split not in VALID_SPLITS:
-            raise FormatError(
-                f"{manifest_path}: line {lineno}: split must be one of {VALID_SPLITS}, got {split!r}"
-            )
-        meta[item_id] = (int(obj["tool_id"]), split)
-    missing = id_set - set(meta)
-    if missing:
-        raise FormatError(f"{path}: item_id {min(missing)} missing from manifest")
+            raise FormatError(f"{where}: split must be one of {VALID_SPLITS}, got {split!r}")
+        tool_ids[row] = _field(obj, "tool_id", np.int64, where)
+        splits[row] = split
+    if None in splits:
+        missing = min(i for i, s in zip(ids.tolist(), splits) if s is None)
+        raise FormatError(f"{path}: item_id {missing} missing from manifest")
 
-    records = [
-        EmbeddingRecord(
-            item_id=item_id,
-            tool_id=meta[item_id][0],
-            split=meta[item_id][1],
-            embedding=raw["vec"][i].astype(np.float64),
-        )
-        for i, item_id in enumerate(ids)
-    ]
-    return EmbeddingSet(records)
+    return EmbeddingSet.from_arrays(ids, tool_ids, splits, raw["vec"].astype(np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -273,21 +302,23 @@ def read_scenarios(path, catalog: ToolCatalog | None = None) -> list[ScenarioRec
     seen_ids: set[int] = set()
     seen_items: set[int] = set()
     for lineno, obj in _jsonl_lines(path):
-        _require_keys(obj, ("scenario_id", "tool_id", "text", "item_id"), f"{path}: line {lineno}")
-        sid = int(obj["scenario_id"])
-        item_id = int(obj["item_id"])
+        where = f"{path}: line {lineno}"
+        sid = _field(obj, "scenario_id", int, where)
+        item_id = _field(obj, "item_id", int, where)
         if sid in seen_ids:
-            raise FormatError(f"{path}: line {lineno}: duplicate scenario_id {sid}")
+            raise FormatError(f"{where}: duplicate scenario_id {sid}")
         if item_id in seen_items:
-            raise FormatError(f"{path}: line {lineno}: duplicate item_id {item_id}")
+            raise FormatError(f"{where}: duplicate item_id {item_id}")
         seen_ids.add(sid)
         seen_items.add(item_id)
-        tool_id = int(obj["tool_id"])
+        tool_id = _field(obj, "tool_id", int, where)
         if catalog is not None and tool_id not in catalog:
-            raise FormatError(f"{path}: line {lineno}: tool_id {tool_id} not in catalog")
-        scenarios.append(
-            ScenarioRecord(scenario_id=sid, tool_id=tool_id, text=str(obj["text"]), item_id=item_id)
-        )
+            raise FormatError(f"{where}: tool_id {tool_id} not in catalog")
+        text = _field(obj, "text", str, where)
+        try:
+            scenarios.append(ScenarioRecord(scenario_id=sid, tool_id=tool_id, text=text, item_id=item_id))
+        except ValueError as exc:
+            raise FormatError(f"{where}: {exc}") from None
     return scenarios
 
 
@@ -311,26 +342,18 @@ def read_trials(path) -> list[MatchingTrial]:
     trials: list[MatchingTrial] = []
     seen: set[int] = set()
     for lineno, obj in _jsonl_lines(path):
-        _require_keys(
-            obj,
-            ("trial_id", "scenario_item_id", "candidate_item_ids", "target_position"),
-            f"{path}: line {lineno}",
-        )
-        trial_id = int(obj["trial_id"])
+        where = f"{path}: line {lineno}"
+        trial_id = _field(obj, "trial_id", int, where)
         if trial_id in seen:
-            raise FormatError(f"{path}: line {lineno}: duplicate trial_id {trial_id}")
+            raise FormatError(f"{where}: duplicate trial_id {trial_id}")
         seen.add(trial_id)
+        scenario_item_id = _field(obj, "scenario_item_id", int, where)
+        candidates = _field(obj, "candidate_item_ids", list, where, of=int)
+        target_position = _field(obj, "target_position", int, where)
         try:
-            trials.append(
-                MatchingTrial(
-                    trial_id=trial_id,
-                    scenario_item_id=int(obj["scenario_item_id"]),
-                    candidate_item_ids=tuple(int(i) for i in obj["candidate_item_ids"]),
-                    target_position=int(obj["target_position"]),
-                )
-            )
+            trials.append(MatchingTrial(trial_id, scenario_item_id, tuple(candidates), target_position))
         except ValueError as exc:
-            raise FormatError(f"{path}: line {lineno}: {exc}") from None
+            raise FormatError(f"{where}: {exc}") from None
     return trials
 
 
@@ -342,17 +365,19 @@ def _encode_array(arr: np.ndarray) -> list[str]:
     return [repr(float(v)) for v in arr.reshape(-1)]
 
 
-def _decode_array(values, shape: tuple[int, ...], where: str) -> np.ndarray:
-    size = int(np.prod(shape))
-    if not isinstance(values, list) or len(values) != size:
-        found = len(values) if isinstance(values, list) else f"type {type(values).__name__}"
-        raise FormatError(f"{where}: expected {size} values, found {found}")
+def _decode_array(group: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+    values = _field(group, key, list, where)
+    size = math.prod(shape)
+    if len(values) != size:
+        raise FormatError(f"{where} {key}: expected {size} values, found {len(values)}")
+    if not set(map(type, values)) <= {str}:
+        raise FormatError(f"{where}: field {key!r} must hold decimal strings only")
     try:
-        arr = np.array([float(v) for v in values], dtype=np.float64)
-    except (TypeError, ValueError):
-        raise FormatError(f"{where}: values must be decimal strings") from None
+        arr = np.fromiter(map(float, values), dtype=np.float64, count=size)
+    except ValueError:
+        raise FormatError(f"{where}: field {key!r} must hold decimal strings only") from None
     if not np.isfinite(arr).all():
-        raise FormatError(f"{where}: non-finite parameter value")
+        raise FormatError(f"{where} {key}: non-finite parameter value")
     return arr.reshape(shape)
 
 
@@ -380,37 +405,46 @@ def save_checkpoint(trained: TrainedHead, path) -> None:
     Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
 
+# JSON type of each field of a checkpoint's config echo (HeadConfig.to_dict).
+_CONFIG_FIELDS = {
+    "pathway": (str, None), "layer_dims": (list, int), "learning_rate": (float, None),
+    "batch_size": (int, None), "max_epochs": (int, None), "patience": (int, None),
+    "validation_fraction": (float, None), "seed": (int, None),
+}
+
+
 def load_checkpoint(path) -> TrainedHead:
     """Rebuild a TrainedHead from a checkpoint (the training log is not persisted)."""
+    where = str(path)
     try:
         doc = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc.msg}") from None
-    _require_keys(
-        doc,
-        ("format_version", "pathway", "layer_dims", "seed", "config",
-         "best_validation_mse", "epochs_run", "parameters"),
-        str(path),
-    )
-    if doc["format_version"] != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported format_version {doc['format_version']}, "
-            f"expected {CHECKPOINT_VERSION}"
-        )
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    version = _field(doc, "format_version", int, where)
+    if version != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported format_version {version}, expected {CHECKPOINT_VERSION}")
+    echo = _field(doc, "config", dict, where)
+    for key, (kind, of) in _CONFIG_FIELDS.items():
+        if key in echo:
+            _field(echo, key, kind, f"{path}: config", of)
     try:
-        config = HeadConfig(**doc["config"])
+        config = HeadConfig(**echo)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid config echo: {exc}") from None
     try:
-        dims = validate_layer_dims(doc["layer_dims"])
+        dims = validate_layer_dims(_field(doc, "layer_dims", list, where, of=int))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    if dims != config.layer_dims or doc["pathway"] != config.pathway or doc["seed"] != config.seed:
+    pathway = _field(doc, "pathway", str, where)
+    seed = _field(doc, "seed", int, where)
+    if dims != config.layer_dims or pathway != config.pathway or seed != config.seed:
         raise FormatError(f"{path}: top-level fields disagree with the config echo")
 
-    groups = doc["parameters"]
+    groups = _field(doc, "parameters", list, where, of=dict)
     n_layers = len(dims) - 1
-    if not isinstance(groups, list) or len(groups) != n_layers:
+    if len(groups) != n_layers:
         raise FormatError(f"{path}: expected {n_layers} parameter groups, found {len(groups)}")
     layers: list[DenseLayer] = []
     norms: list[LayerNormParams] = []
@@ -418,28 +452,28 @@ def load_checkpoint(path) -> TrainedHead:
         fan_in, fan_out = dims[i], dims[i + 1]
         hidden = i < n_layers - 1
         allowed = {"weights", "bias", "gamma", "beta"} if hidden else {"weights", "bias"}
-        _require_keys(group, sorted(allowed), f"{path}: layer {i}")
+        at = f"{path}: layer {i}"
         extra = set(group) - allowed
         if extra:
-            raise FormatError(f"{path}: layer {i}: unexpected field {sorted(extra)[0]!r}")
-        w = _decode_array(group["weights"], (fan_out, fan_in), f"{path}: layer {i} weights")
-        b = _decode_array(group["bias"], (fan_out,), f"{path}: layer {i} bias")
-        layers.append(DenseLayer(w, b))
+            raise FormatError(f"{at}: unexpected field {sorted(extra)[0]!r}")
+        layers.append(DenseLayer(_decode_array(group, "weights", (fan_out, fan_in), at),
+                                 _decode_array(group, "bias", (fan_out,), at)))
         if hidden:
-            gamma = _decode_array(group["gamma"], (fan_out,), f"{path}: layer {i} gamma")
-            beta = _decode_array(group["beta"], (fan_out,), f"{path}: layer {i} beta")
+            gamma = _decode_array(group, "gamma", (fan_out,), at)
+            beta = _decode_array(group, "beta", (fan_out,), at)
             norms.append(LayerNormParams(gamma, beta, LAYER_NORM_EPSILON))
 
-    head = MlpHead(layer_dims=dims, layers=layers, norms=norms, rng_seed=int(doc["seed"]))
+    head = MlpHead(layer_dims=dims, layers=layers, norms=norms, rng_seed=seed)
+    best = _field(doc, "best_validation_mse", str, where)
     try:
-        best = float(doc["best_validation_mse"])
-    except (TypeError, ValueError):
+        best = float(best)
+    except ValueError:
         raise FormatError(f"{path}: best_validation_mse is not a decimal string") from None
     return TrainedHead(
         head=head,
         config=config,
         best_validation_mse=best,
-        epochs_run=int(doc["epochs_run"]),
+        epochs_run=_field(doc, "epochs_run", int, where),
         training_log=[],
     )
 

@@ -22,7 +22,6 @@ import numpy as np
 from toolmatch.domain import (
     CANDIDATES_PER_TRIAL,
     NUM_ATTRIBUTES,
-    EmbeddingRecord,
     EmbeddingSet,
     MatchingTrial,
     ScenarioRecord,
@@ -152,33 +151,30 @@ def _emit_items(
     attributes: list[np.ndarray],
     per_tool: tuple[int, int],
     sigma: float,
-) -> list[EmbeddingRecord]:
+) -> EmbeddingSet:
     """Per-tool train-then-test items, ids tool-major.
 
     Noise is drawn as one (stride, dim) block per tool, row j for item j, so
     the variates follow id order exactly as one draw per item would; a block
-    per tool rather than per dataset keeps peak memory at one tool's items.
+    per tool rather than per dataset keeps the noise temporaries to one tool's
+    items.
     """
     dim = mixer.shape[0]
     n_train, n_test = per_tool
     stride = n_train + n_test
-    records: list[EmbeddingRecord] = []
+    n_tools = len(attributes)
+    vectors = np.empty((n_tools * stride, dim))
     for tool_id, attrs in enumerate(attributes):
         base = mixer @ attrs
+        rows = vectors[tool_id * stride:(tool_id + 1) * stride]
         if sigma == 0.0:
-            vecs = [base] * stride
+            rows[:] = base
         else:
-            vecs = base + sigma * rng.normals(stride * dim).reshape(stride, dim)
-        for j, vec in enumerate(vecs):
-            records.append(
-                EmbeddingRecord(
-                    item_id=tool_id * stride + j,
-                    tool_id=tool_id,
-                    split="train" if j < n_train else "test",
-                    embedding=vec,
-                )
-            )
-    return records
+            rows[:] = base + sigma * rng.normals(stride * dim).reshape(stride, dim)
+    splits = np.tile(np.array(["train"] * n_train + ["test"] * n_test), n_tools)
+    return EmbeddingSet.from_arrays(
+        np.arange(n_tools * stride), np.repeat(np.arange(n_tools), stride), splits, vectors
+    )
 
 
 def _build_trials(
@@ -234,23 +230,22 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     mix_v = _orthonormal_columns(SplitMix64(seed_mix_v), spec.d_v, NUM_ATTRIBUTES)
     mix_l = _orthonormal_columns(SplitMix64(seed_mix_l), spec.d_l, NUM_ATTRIBUTES)
 
-    visual_records = _emit_items(
+    visual = _emit_items(
         SplitMix64(seed_noise_v), mix_v, attributes, spec.images_per_tool, spec.noise_sigma
     )
-    scenario_records = _emit_items(
+    scenario_embeddings = _emit_items(
         SplitMix64(seed_noise_l), mix_l, attributes, spec.scenarios_per_tool, spec.noise_sigma
     )
-    visual = EmbeddingSet(visual_records)
-    scenario_embeddings = EmbeddingSet(scenario_records)
-
     scenarios = [
         ScenarioRecord(
-            scenario_id=rec.item_id,
-            tool_id=rec.tool_id,
-            text=f"synthetic scenario for tool {rec.tool_id}",
-            item_id=rec.item_id,
+            scenario_id=item_id,
+            tool_id=tool_id,
+            text=f"synthetic scenario for tool {tool_id}",
+            item_id=item_id,
         )
-        for rec in scenario_records
+        for item_id, tool_id in zip(
+            scenario_embeddings.item_ids.tolist(), scenario_embeddings.tool_ids.tolist()
+        )
     ]
 
     trials = _build_trials(SplitMix64(seed_trials), spec.n_tools, visual, scenario_embeddings)
@@ -286,12 +281,8 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, Path]:
     out.mkdir(parents=True, exist_ok=True)
     paths = {key: out / name for key, name in DATASET_FILENAMES.items()}
     save_catalog(dataset.catalog, paths["catalog"])
-    visual_records = [dataset.visual.record(i) for i in dataset.visual.items()]
-    write_embeddings(visual_records, paths["visual"], paths["visual_manifest"])
-    scenario_records = [
-        dataset.scenario_embeddings.record(i) for i in dataset.scenario_embeddings.items()
-    ]
-    write_embeddings(scenario_records, paths["scenario_embeddings"], paths["scenario_manifest"])
+    write_embeddings(dataset.visual, paths["visual"], paths["visual_manifest"])
+    write_embeddings(dataset.scenario_embeddings, paths["scenario_embeddings"], paths["scenario_manifest"])
     write_scenarios(dataset.scenarios, paths["scenarios"])
     write_trials(dataset.trials, paths["trials"])
     return paths

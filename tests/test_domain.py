@@ -1,5 +1,7 @@
 """Attribute registry, catalog, embedding set, and trial invariants."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,118 @@ class TestEmbeddingSet:
         missing = ToolCatalog([ToolRecord(0, "a", FOURS)])
         with pytest.raises(ValueError, match="tool_id 1"):
             es.check_tool_ids(missing)
+
+
+def columns(records):
+    """The four from_arrays columns of a record list, in its order."""
+    return (
+        [r.item_id for r in records], [r.tool_id for r in records],
+        [r.split for r in records], np.stack([np.asarray(r.embedding, dtype=np.float64) for r in records]),
+    )
+
+
+def record(item_id, tool_id, split, *values):
+    """A duck-typed record: skips EmbeddingRecord's own checks, so the set's run."""
+    return SimpleNamespace(item_id=item_id, tool_id=tool_id, split=split, embedding=vec(*values))
+
+
+# Ids out of order, so both constructors keep rows as given and sort only on request.
+UNORDERED = [
+    EmbeddingRecord(5, 1, "train", vec(5.0, 6.0)),
+    EmbeddingRecord(0, 0, "train", vec(1.0, 2.0)),
+    EmbeddingRecord(3, 2, "test", vec(7.0, 8.0)),
+    EmbeddingRecord(1, 0, "test", vec(3.0, 4.0)),
+]
+
+DUPLICATE = [record(0, 0, "train", 1.0), record(0, 1, "test", 2.0)]
+NEGATIVE = [record(0, 0, "train", 1.0), record(-2, 1, "test", 2.0)]
+BAD_SPLIT = [record(0, 0, "train", 1.0), record(1, 1, "dev", 2.0)]
+RAGGED = [record(0, 0, "train", 1.0), record(1, 1, "test", 2.0, 3.0)]
+
+
+class TestColumnarEmbeddingSet:
+    def test_records_and_arrays_agree(self):
+        a = EmbeddingSet(UNORDERED)
+        b = EmbeddingSet.from_arrays(*columns(UNORDERED))
+        for es in (a, b):
+            assert es.item_ids.tolist() == [5, 0, 3, 1]  # rows in the order given
+            assert es.items() == [0, 1, 3, 5]
+            assert es.items("train") == [0, 5] and es.items("test") == [1, 3]
+            assert len(es) == 4 and es.dim == 2 and 3 in es and 2 not in es
+        for rec in UNORDERED:
+            for es in (a, b):
+                assert np.array_equal(es.vector(rec.item_id), rec.embedding)
+                assert es.tool_of(rec.item_id) == rec.tool_id
+                assert type(es.tool_of(rec.item_id)) is int
+                got = es.record(rec.item_id)
+                assert (got.item_id, got.tool_id, got.split) == (rec.item_id, rec.tool_id, rec.split)
+                assert np.array_equal(got.embedding, rec.embedding)
+        ids = [3, 5, 0]
+        assert np.array_equal(a.matrix(ids), b.matrix(ids))
+        assert np.array_equal(a.matrix(ids), np.stack([r.embedding for r in (UNORDERED[2], UNORDERED[0], UNORDERED[1])]))
+        assert a.matrix([]).shape == b.matrix([]).shape == (0, 2)
+        catalog = ToolCatalog([ToolRecord(0, "a", FOURS), ToolRecord(2, "c", FOURS)])
+        messages = []
+        for es in (a, b):
+            with pytest.raises(ValueError, match="item 5 references tool_id 1") as exc:
+                es.check_tool_ids(catalog)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("records, arrays, match", [
+        (DUPLICATE, columns(DUPLICATE), "duplicate item_id 0"),
+        (NEGATIVE, columns(NEGATIVE), "non-negative, got -2"),
+        (BAD_SPLIT, columns(BAD_SPLIT), "split must be one of.*'dev'"),
+        (RAGGED, ([0, 1], [0, 1], ["train", "test"], [[1.0], [2.0, 3.0]]), "dimension"),
+        ([], ([], [], [], np.zeros((0, 3))), "at least one record"),
+    ])
+    def test_both_constructors_reject(self, records, arrays, match):
+        with pytest.raises(ValueError, match=match):
+            EmbeddingSet(records)
+        with pytest.raises(ValueError, match=match):
+            EmbeddingSet.from_arrays(*arrays)
+
+    @pytest.mark.parametrize("arrays, match", [
+        (([0, 1], [0], ["train", "test"], np.ones((2, 3))), "column lengths differ: 2 item_ids, 1 tool_ids"),
+        (([0, 1], [0, 0], ["train"], np.ones((2, 3))), "1 splits"),
+        (([0, 1], [0, 0], ["train", "test"], np.ones((3, 3))), "3 vectors"),
+        (([0, 1], [0, 0], ["train", "test"], np.ones(2)), r"\(n, dim\) matrix"),
+        (([0, 1], [0, 0], ["train", "test"], np.ones((2, 0))), "dimension 0"),
+        (([0, 1], [0, 0], "train", np.ones((2, 3))), "splits must be one-dimensional"),
+        (([0.0, 1.0], [0, 0], ["train", "test"], np.ones((2, 3))), "item_ids must be 64-bit signed integers"),
+        (([0, 1], [True, False], ["train", "test"], np.ones((2, 3))), "tool_ids must be 64-bit signed integers"),
+    ])
+    def test_from_arrays_rejects_bad_columns(self, arrays, match):
+        with pytest.raises(ValueError, match=match):
+            EmbeddingSet.from_arrays(*arrays)
+
+    def test_vector_rows_are_read_only(self):
+        for es in (EmbeddingSet(UNORDERED), EmbeddingSet.from_arrays(*columns(UNORDERED))):
+            row = es.vector(3)
+            with pytest.raises(ValueError, match="read-only"):
+                row[0] = 99.0
+            with pytest.raises(ValueError, match="read-only"):
+                es.record(3).embedding[0] = 99.0
+            assert np.array_equal(es.vector(3), vec(7.0, 8.0))
+
+    def test_matrix_is_a_copy(self):
+        es = EmbeddingSet(UNORDERED)
+        m = es.matrix([3, 5])
+        m[:] = -1.0
+        assert np.array_equal(es.vector(3), vec(7.0, 8.0))
+        assert np.array_equal(es.matrix([3, 5]), vec(7.0, 8.0, 5.0, 6.0).reshape(2, 2))
+
+    def test_matrix_unknown_item(self):
+        with pytest.raises(KeyError, match="item_id 9 not in embedding set"):
+            EmbeddingSet(UNORDERED).matrix([0, 9])
+
+    def test_from_arrays_copies_id_and_tool_columns(self):
+        ids, tools, splits, vectors = columns(UNORDERED)
+        ids, tools = np.array(ids, dtype=np.int64), np.array(tools, dtype=np.int64)
+        es = EmbeddingSet.from_arrays(ids, tools, splits, vectors)
+        ids[:], tools[:] = 9, 9
+        assert es.item_ids.tolist() == [5, 0, 3, 1] and es.tool_ids.tolist() == [1, 0, 2, 0]
+        assert es.tool_of(3) == 2 and 9 not in es
 
 
 class TestTrial:

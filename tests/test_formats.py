@@ -22,7 +22,6 @@ from toolmatch.formats import (
     read_embeddings,
     read_scenarios,
     read_trials,
-    rounded_truths,
     save_catalog,
     save_checkpoint,
     sha256_file,
@@ -30,7 +29,9 @@ from toolmatch.formats import (
     write_scenarios,
     write_trials,
 )
-from toolmatch.training import HeadConfig, train_head
+from toolmatch.evaluation import round_half_up_clamped
+from toolmatch.nn import init_head
+from toolmatch.training import HeadConfig, TrainedHead, train_head
 from toolmatch.domain import EmbeddingSet
 
 
@@ -129,8 +130,8 @@ class TestCatalogCsv:
             save_catalog(catalog, tmp_path / "x.csv")
 
     def test_rounded_truths_use_half_up(self):
-        truths = rounded_truths(small_catalog())
-        assert list(truths[3]) == [4] * 13            # 4.25 rounds down
+        truths = round_half_up_clamped(small_catalog().attribute_matrix())
+        assert list(truths[1]) == [4] * 13            # 4.25 rounds down
         # linspace(1,7,13) is exactly 1.0, 1.5, 2.0, ... halves go up
         assert list(truths[0]) == [1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
 
@@ -286,6 +287,69 @@ class TestEmbeddingFile:
         assert data[28:32] == np.float32(1.0).tobytes()
 
 
+class TestColumnarEmbeddingFile:
+    def test_non_ascending_ids_read_back(self, tmp_path):
+        path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+        records = [
+            EmbeddingRecord(9, 1, "test", np.array([1.0, 2.0, 3.0])),
+            EmbeddingRecord(2, 0, "train", np.array([-1.0, 0.5, 0.25])),
+            EmbeddingRecord(5, 3, "test", np.array([4.0, 5.0, 6.0])),
+        ]
+        write_embeddings(records, path, man)
+        loaded = read_embeddings(path, man)
+        assert loaded.item_ids.tolist() == [9, 2, 5]  # the file's row order
+        assert loaded.items() == [2, 5, 9]
+        assert loaded.items("test") == [5, 9]
+        for rec in records:
+            got = loaded.record(rec.item_id)
+            assert (got.tool_id, got.split) == (rec.tool_id, rec.split)
+            assert np.array_equal(got.embedding, rec.embedding)
+        assert np.array_equal(loaded.matrix([9, 2]), np.stack([records[0].embedding, records[1].embedding]))
+
+    def test_set_and_records_write_the_same_bytes(self, tmp_path):
+        records = two_records(dim=5) + [EmbeddingRecord(12, 4, "train", np.full(5, 1 / 3))]
+        write_embeddings(records, tmp_path / "r.bin", tmp_path / "r.jsonl")
+        write_embeddings(EmbeddingSet(records), tmp_path / "s.bin", tmp_path / "s.jsonl")
+        assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
+        assert (tmp_path / "r.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+
+    def test_set_is_written_in_ascending_id_order(self, tmp_path):
+        records = two_records(dim=3)
+        write_embeddings(records, tmp_path / "r.bin", tmp_path / "r.jsonl")
+        write_embeddings(EmbeddingSet(records[::-1]), tmp_path / "s.bin", tmp_path / "s.jsonl")
+        assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
+        assert (tmp_path / "r.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+
+    def test_manifest_lines_match_compact_json(self, tmp_path):
+        records = two_records() + [EmbeddingRecord(123456789012, -3, "test", np.ones(4))]
+        write_embeddings(records, tmp_path / "e.bin", tmp_path / "m.jsonl")
+        want = "".join(
+            json.dumps({"item_id": r.item_id, "tool_id": r.tool_id, "split": r.split}, separators=(",", ":")) + "\n"
+            for r in records
+        )
+        assert (tmp_path / "m.jsonl").read_text() == want
+
+    def test_read_duplicate_id_in_binary(self, tmp_path):
+        path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+        write_embeddings(two_records(dim=2), path, man)
+        data = bytearray(path.read_bytes())
+        data[20 + 16:20 + 24] = (0).to_bytes(8, "little")  # second record's id 9 -> 0
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="duplicate item_id 0"):
+            read_embeddings(path, man)
+
+    def test_zero_dimension_and_oversized_id_rejected(self, tmp_path):
+        path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
+        header = b"FEMB" + (1).to_bytes(4, "little")
+        path.write_bytes(header + (0).to_bytes(4, "little") + (1).to_bytes(8, "little") + bytes(8))
+        with pytest.raises(FormatError, match="embedding dimension is 0"):
+            read_embeddings(path, man)
+        path.write_bytes(header + (1).to_bytes(4, "little") + (1).to_bytes(8, "little")
+                         + (1 << 63).to_bytes(8, "little") + bytes(4))
+        with pytest.raises(FormatError, match=r"item_id 9223372036854775808 exceeds 2\*\*63 - 1"):
+            read_embeddings(path, man)
+
+
 class TestScenarioJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -389,6 +453,20 @@ class TestCheckpoint:
         assert loaded.epochs_run == trained.epochs_run
         assert loaded.best_validation_mse == trained.best_validation_mse
         assert loaded.training_log == []
+        for a, b in zip(trained.head.parameters(), loaded.head.parameters()):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [2**64 - 1, -5])
+    def test_round_trip_any_integer_seed(self, tmp_path, seed):
+        """SplitMix64 takes any integer seed, so the checkpoint must keep it as written."""
+        config = HeadConfig(pathway="visual", layer_dims=(6, 8, 13), learning_rate=1e-3,
+                            batch_size=4, max_epochs=3, seed=seed)
+        trained = TrainedHead(head=init_head(config.layer_dims, seed), config=config,
+                              best_validation_mse=0.5, epochs_run=3, training_log=[])
+        path = tmp_path / "head.json"
+        save_checkpoint(trained, path)
+        loaded = load_checkpoint(path)
+        assert loaded.config == config and loaded.config.seed == seed
         for a, b in zip(trained.head.parameters(), loaded.head.parameters()):
             assert np.array_equal(a, b)
 

@@ -1,0 +1,212 @@
+"""Wrong JSON types: every field of a valid manifest line, trial line,
+scenario line and checkpoint is replaced, one at a time, by each value of a
+different JSON type. Each replacement must raise a FormatError naming the
+file and the field, and the CLI must exit 1 with its JSON error object.
+"""
+
+import copy
+import json
+
+import numpy as np
+import pytest
+
+from toolmatch.cli import main
+from toolmatch.domain import EmbeddingRecord
+from toolmatch.formats import (
+    FormatError,
+    load_checkpoint,
+    read_embeddings,
+    read_scenarios,
+    read_trials,
+    save_checkpoint,
+    write_embeddings,
+)
+from toolmatch.nn import init_head
+from toolmatch.training import HeadConfig, TrainedHead
+
+# One value of each JSON type: null, boolean, number (float and int), string, list, object.
+CANDIDATES = [None, True, 1.5, 7, "7", [7], {"v": 7}]
+
+MANIFEST_LINE = {"item_id": 0, "tool_id": 0, "split": "train"}
+TRIAL_LINE = {"trial_id": 0, "scenario_item_id": 100, "candidate_item_ids": list(range(10)), "target_position": 3}
+SCENARIO_LINE = {"scenario_id": 0, "tool_id": 2, "text": "a", "item_id": 100}
+
+
+def json_kind(value) -> str:
+    return {type(None): "null", bool: "bool", int: "int", float: "float",
+            str: "str", list: "list", dict: "dict"}[type(value)]
+
+
+def wrong_values(valid):
+    """Candidates of another JSON type than ``valid``; any number is right for a float."""
+    kind = json_kind(valid)
+    return [c for c in CANDIDATES
+            if json_kind(c) != kind and not (kind == "float" and json_kind(c) == "int")]
+
+
+def line_mutations(line: dict, list_fields=()):
+    """(field, mutated line) for each field and wrong value, list items included."""
+    for key, valid in line.items():
+        for wrong in wrong_values(valid):
+            yield key, {**line, key: wrong}
+        if key in list_fields:
+            for wrong in wrong_values(valid[0]):
+                yield key, {**line, key: [wrong] + valid[1:]}
+
+
+def checkpoint_mutations(doc: dict):
+    """(field, mutated checkpoint) over top-level, config-echo and parameter fields."""
+    def mutated(edit):
+        out = copy.deepcopy(doc)
+        edit(out)
+        return out
+
+    for key, valid in doc.items():
+        for wrong in wrong_values(valid):
+            yield key, mutated(lambda d: d.__setitem__(key, wrong))
+    for key, valid in doc["config"].items():
+        for wrong in wrong_values(valid):
+            yield key, mutated(lambda d: d["config"].__setitem__(key, wrong))
+    for wrong in wrong_values(doc["layer_dims"][0]):
+        yield "layer_dims", mutated(lambda d: d["layer_dims"].__setitem__(0, wrong))
+        yield "layer_dims", mutated(lambda d: d["config"]["layer_dims"].__setitem__(0, wrong))
+    for i, group in enumerate(doc["parameters"]):
+        for wrong in wrong_values(group):
+            yield "parameters", mutated(lambda d: d["parameters"].__setitem__(i, wrong))
+        for key, valid in group.items():
+            for wrong in wrong_values(valid):
+                yield key, mutated(lambda d: d["parameters"][i].__setitem__(key, wrong))
+            for wrong in wrong_values(valid[0]):
+                yield key, mutated(lambda d: d["parameters"][i][key].__setitem__(0, wrong))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """Valid inputs: embeddings + manifest, trials, scenarios, two checkpoints."""
+    d = tmp_path_factory.mktemp("valid")
+    paths = {name: d / name for name in ("e.femb", "m.jsonl", "t.jsonl", "s.jsonl", "head.json")}
+    write_embeddings([EmbeddingRecord(0, 0, "train", np.ones(6))], paths["e.femb"], paths["m.jsonl"])
+    config = HeadConfig(pathway="visual", layer_dims=(6, 8, 13), learning_rate=1e-3,
+                        batch_size=4, max_epochs=3, seed=7)
+    trained = TrainedHead(head=init_head(config.layer_dims, config.seed), config=config,
+                          best_validation_mse=0.5, epochs_run=3, training_log=[])
+    save_checkpoint(trained, paths["head.json"])
+    return paths
+
+
+def write_line(path, line: dict) -> None:
+    path.write_text(json.dumps(line) + "\n")
+
+
+def expect_format_error(call, path, field: str, failures: list, label) -> None:
+    try:
+        call()
+    except FormatError as exc:
+        if str(path) not in str(exc) or f"field {field!r}" not in str(exc):
+            failures.append(f"{label}: message does not name the file and field: {exc}")
+    except Exception as exc:  # noqa: BLE001 - the test reports any other type
+        failures.append(f"{label}: {type(exc).__name__}: {exc}")
+    else:
+        failures.append(f"{label}: accepted")
+
+
+def test_sanity_valid_files_load(files, tmp_path):
+    for name, line in (("m", MANIFEST_LINE), ("t", TRIAL_LINE), ("s", SCENARIO_LINE)):
+        write_line(tmp_path / name, line)
+    assert len(read_embeddings(files["e.femb"], tmp_path / "m")) == 1
+    assert len(read_trials(tmp_path / "t")) == 1
+    assert len(read_scenarios(tmp_path / "s")) == 1
+    assert load_checkpoint(files["head.json"]).epochs_run == 3
+
+
+@pytest.mark.parametrize("kind", ["manifest", "trials", "scenarios"])
+def test_jsonl_field_of_wrong_type_is_format_error(kind, files, tmp_path):
+    path = tmp_path / f"{kind}.jsonl"
+    line, read, lists = {
+        "manifest": (MANIFEST_LINE, lambda: read_embeddings(files["e.femb"], path), ()),
+        "trials": (TRIAL_LINE, lambda: read_trials(path), ("candidate_item_ids",)),
+        "scenarios": (SCENARIO_LINE, lambda: read_scenarios(path), ()),
+    }[kind]
+    failures = []
+    cases = list(line_mutations(line, lists))
+    for field, mutated in cases:
+        write_line(path, mutated)
+        expect_format_error(read, f"{path}: line 1", field, failures, json.dumps(mutated))
+    assert len(cases) >= 3 * len(line) and not failures, "\n".join(failures)
+
+
+def test_checkpoint_field_of_wrong_type_is_format_error(files, tmp_path):
+    doc = json.loads(files["head.json"].read_text())
+    path = tmp_path / "head.json"
+    failures = []
+    cases = list(checkpoint_mutations(doc))
+    for n, (field, mutated) in enumerate(cases):
+        path.write_text(json.dumps(mutated))
+        expect_format_error(lambda: load_checkpoint(path), path, field, failures, f"case {n} ({field})")
+    assert len(cases) > 100 and not failures, "\n".join(failures)
+
+
+def test_checkpoint_that_is_not_an_object(tmp_path):
+    path = tmp_path / "head.json"
+    for doc in ([], 5, "x", None):
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="expected a JSON object"):
+            load_checkpoint(path)
+
+
+def test_integer_fields_reject_true_and_fractions(tmp_path):
+    """The two values that int() used to accept silently."""
+    path = tmp_path / "t.jsonl"
+    for wrong in (True, 1.7):
+        write_line(path, {**TRIAL_LINE, "target_position": wrong})
+        with pytest.raises(FormatError, match="field 'target_position' must be an integer"):
+            read_trials(path)
+
+
+def test_manifest_ids_must_fit_int64(files, tmp_path):
+    """Manifest ids fill int64 columns; other integer fields take any size."""
+    path = tmp_path / "m.jsonl"
+    for key in ("item_id", "tool_id"):
+        for wrong in (1 << 63, -(1 << 63) - 1):
+            write_line(path, {**MANIFEST_LINE, key: wrong})
+            with pytest.raises(FormatError, match=f"field {key!r} must be a 64-bit signed integer"):
+                read_embeddings(files["e.femb"], path)
+    write_line(path, {**TRIAL_LINE, "trial_id": 1 << 64})
+    assert read_trials(path)[0].trial_id == 1 << 64
+
+
+def cli_error(capsys, argv) -> dict:
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1, captured.out
+    return json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize("kind", ["manifest", "trials", "checkpoint"])
+def test_cli_exits_one_with_json_error(kind, files, tmp_path, capsys):
+    """The CLI reads manifests, trials and checkpoints (no command reads scenarios)."""
+    bad = tmp_path / "bad"
+    catalog = tmp_path / "missing.csv"  # never reached: the bad file fails first
+    if kind == "manifest":
+        cases = [(f, json.dumps(m) + "\n") for f, m in line_mutations(MANIFEST_LINE)]
+        argv = ["train", "--pathway", "visual", "--embeddings", files["e.femb"], "--manifest", bad,
+                "--catalog", catalog, "--out", tmp_path / "out.json"]
+    elif kind == "trials":
+        cases = [(f, json.dumps(t) + "\n") for f, t in line_mutations(TRIAL_LINE, ("candidate_item_ids",))]
+        write_line(tmp_path / "m.jsonl", MANIFEST_LINE)
+        emb = ["--visual", files["e.femb"], "--visual-manifest", tmp_path / "m.jsonl"]
+        argv = ["match", "--visual-checkpoint", files["head.json"], "--language-checkpoint", files["head.json"],
+                *emb, "--scenarios", files["e.femb"], "--scenario-manifest", tmp_path / "m.jsonl",
+                "--trials", bad]
+    else:
+        doc = json.loads(files["head.json"].read_text())
+        cases = [(f, json.dumps(d)) for f, d in checkpoint_mutations(doc)]
+        argv = ["eval-attr", "--checkpoint", bad, "--embeddings", files["e.femb"],
+                "--manifest", tmp_path / "m.jsonl", "--catalog", catalog]
+    failures = []
+    for field, text in cases:
+        bad.write_text(text)
+        error = cli_error(capsys, argv)
+        if error["type"] != "FormatError" or f"field {field!r}" not in error["message"]:
+            failures.append(f"{text[:80]}: {error}")
+    assert cases and not failures, "\n".join(failures)
