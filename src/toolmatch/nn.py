@@ -6,9 +6,12 @@ output layer has neither. Gradients are hand-derived for exactly this family
 (including the layer-norm Jacobian) and all math runs in float64 so that
 finite-difference checks and bit-reproducibility hold at desk scale.
 
-Parameter order used everywhere (gradients, Adam moments, checkpoints):
-for each hidden layer ``weights, bias, gamma, beta``, then the output layer's
-``weights, bias``.
+Each head keeps all its parameters in one float64 vector, ``MlpHead.vector``,
+in canonical order: for each hidden layer ``weights, bias, gamma, beta``, then
+the output layer's ``weights, bias``, each array row-major. Every layer's and
+norm's arrays are views of that vector. Gradients come back as one fresh
+vector in the same layout, Adam keeps its moments as vectors of that length,
+and checkpoints list the arrays in the same order.
 """
 
 from __future__ import annotations
@@ -23,6 +26,9 @@ from toolmatch.rng import SplitMix64
 LAYER_NORM_EPSILON = 1e-5
 # Float64 elements in one gradcheck block's stack of perturbed intermediates (8 MiB).
 BLOCK_ELEMENTS = 1 << 20
+# Elements per block of an Adam step: each step runs in two scratch blocks of
+# this many float64 values, so its temporaries stay in cache.
+ADAM_CHUNK = 32768
 
 
 @dataclass(eq=False)
@@ -65,12 +71,38 @@ class LayerNormParams:
 
 @dataclass(eq=False)
 class MlpHead:
-    """Parameters of one attribute-prediction head."""
+    """Parameters of one attribute-prediction head.
+
+    Construction copies the given arrays into ``vector`` and rebinds every
+    ``DenseLayer.weights/bias`` and ``LayerNormParams.gamma/beta`` as a view of
+    it, so writing through either one writes the other.
+    """
 
     layer_dims: tuple[int, ...]
     layers: list[DenseLayer]
     norms: list[LayerNormParams]  # one per hidden layer
     rng_seed: int
+    vector: np.ndarray = field(init=False, repr=False)
+    _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        shapes = [l.weights.shape for l in self.layers]
+        widths = [n.dim for n in self.norms]
+        if shapes != list(zip(dims[1:], dims[:-1])) or widths != list(dims[1:-1]):
+            raise ValueError(f"layer weights {shapes} and norm widths {widths} "
+                             f"do not match layer_dims {tuple(dims)}")
+        params = self.parameters()
+        self._layout, start = [], 0
+        for p in params:
+            self._layout.append((start, start + p.size, p.shape))
+            start += p.size
+        self.vector = np.concatenate([p.reshape(-1) for p in params])
+        views = iter(self.views(self.vector))
+        for layer, norm in zip(self.layers[:-1], self.norms):
+            layer.weights, layer.bias, norm.gamma, norm.beta = (
+                next(views), next(views), next(views), next(views))
+        self.layers[-1].weights, self.layers[-1].bias = next(views), next(views)
 
     @property
     def input_dim(self) -> int:
@@ -88,11 +120,15 @@ class MlpHead:
         params.extend((self.layers[-1].weights, self.layers[-1].bias))
         return params
 
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of a vector in this head's layout, one per parameter in canonical order."""
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
+
     def copy(self) -> "MlpHead":
         return MlpHead(
             layer_dims=tuple(self.layer_dims),
-            layers=[DenseLayer(l.weights.copy(), l.bias.copy()) for l in self.layers],
-            norms=[LayerNormParams(n.gamma.copy(), n.beta.copy(), n.epsilon) for n in self.norms],
+            layers=[DenseLayer(l.weights, l.bias) for l in self.layers],
+            norms=[LayerNormParams(n.gamma, n.beta, n.epsilon) for n in self.norms],
             rng_seed=self.rng_seed,
         )
 
@@ -126,16 +162,6 @@ def init_head(layer_dims, seed: int) -> MlpHead:
         if i < len(dims) - 2:  # hidden layer: attach a norm
             norms.append(LayerNormParams(np.ones(fan_out), np.zeros(fan_out)))
     return MlpHead(layer_dims=dims, layers=layers, norms=norms, rng_seed=seed)
-
-
-def layer_norm_forward(x: np.ndarray, p: LayerNormParams) -> np.ndarray:
-    """Normalize a vector to zero mean / unit variance (population), then scale-shift."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (p.dim,):
-        raise ValueError(f"input shape {x.shape} does not match norm dimension ({p.dim},)")
-    mean = x.mean()
-    var = x.var()  # population (biased) variance
-    return p.gamma * (x - mean) / np.sqrt(var + p.epsilon) + p.beta
 
 
 def _layer_norm_batch(z: np.ndarray, p: LayerNormParams):
@@ -187,26 +213,12 @@ def _forward(head: MlpHead, x: np.ndarray) -> list[np.ndarray]:
     return acts
 
 
-def mse_loss(pred: np.ndarray, target: np.ndarray) -> float:
-    """Mean over the 13 attribute dimensions of squared prediction error."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise ValueError(f"shape mismatch: pred {pred.shape} vs target {target.shape}")
-    diff = pred - target
-    return float(np.mean(diff * diff))
-
-
-def batch_loss(head: MlpHead, x: np.ndarray, targets: np.ndarray) -> float:
-    """Mean over the batch of per-sample MSE (the quantity training minimizes)."""
-    batch, _ = _as_batch(x, head.input_dim)
-    out = _forward(head, batch)[-1]
-    diff = out - np.asarray(targets, dtype=np.float64).reshape(out.shape)
-    return float(np.mean(diff * diff))
-
-
 def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
-    """One cached forward plus full backward; returns (loss, grads in canonical order)."""
+    """One cached forward plus full backward.
+
+    Returns (loss, gradient), the gradient one fresh vector in the head's
+    layout (see ``MlpHead.views``).
+    """
     X, _ = _as_batch(x, head.input_dim)
     T = np.asarray(targets, dtype=np.float64)
     if T.shape != (X.shape[0], head.layer_dims[-1]):
@@ -241,16 +253,19 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
     # d loss / d out for loss = mean_b mean_i diff^2.
     d_out = (2.0 / (B * head.layer_dims[-1])) * diff
 
-    grads: list[np.ndarray | None] = [None] * (4 * n_hidden + 2)
-    grads[4 * n_hidden] = d_out.T @ inputs[-1]  # final weights
-    grads[4 * n_hidden + 1] = d_out.sum(axis=0)  # final bias
-    d_a = d_out @ final.weights
+    grad = np.empty_like(head.vector)
+    grads = head.views(grad)
+    np.matmul(d_out.T, inputs[-1], out=grads[4 * n_hidden])  # final weights
+    np.sum(d_out, axis=0, out=grads[4 * n_hidden + 1])  # final bias
+    d_above, weights_above = d_out, final.weights
 
+    # Layer 0's input gradient is never formed: nothing upstream needs it.
     for i in range(n_hidden - 1, -1, -1):
         norm = head.norms[i]
+        d_a = d_above @ weights_above
         d_y = d_a * (ys[i] > 0.0)  # ReLU subgradient at 0 is 0
-        grads[4 * i + 2] = (d_y * xhats[i]).sum(axis=0)  # gamma
-        grads[4 * i + 3] = d_y.sum(axis=0)  # beta
+        np.sum(d_y * xhats[i], axis=0, out=grads[4 * i + 2])  # gamma
+        np.sum(d_y, axis=0, out=grads[4 * i + 3])  # beta
         d_xhat = d_y * norm.gamma
         # Layer-norm Jacobian with population variance.
         d_z = inv_stds[i] * (
@@ -258,29 +273,29 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
             - d_xhat.mean(axis=1, keepdims=True)
             - xhats[i] * (d_xhat * xhats[i]).mean(axis=1, keepdims=True)
         )
-        grads[4 * i] = d_z.T @ inputs[i]  # weights
-        grads[4 * i + 1] = d_z.sum(axis=0)  # bias
-        d_a = d_z @ head.layers[i].weights
+        np.matmul(d_z.T, inputs[i], out=grads[4 * i])  # weights
+        np.sum(d_z, axis=0, out=grads[4 * i + 1])  # bias
+        d_above, weights_above = d_z, head.layers[i].weights
 
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise FloatingPointError("non-finite gradient")
-    return loss, grads
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient")
+    return loss, grad
 
 
 def head_backward(head: MlpHead, x: np.ndarray, targets: np.ndarray) -> list[np.ndarray]:
     """Exact analytic gradient of mean batch MSE w.r.t. every parameter.
 
-    Gradients come back in canonical parameter order and are averaged over
-    the batch (the batch mean is part of the loss, so larger batches do not
-    scale the gradient).
+    Gradients come back in canonical parameter order, as views of one fresh
+    vector in the head's layout, and are averaged over the batch (the batch
+    mean is part of the loss, so larger batches do not scale the gradient).
     """
-    return _loss_and_grads(head, x, targets)[1]
+    return head.views(_loss_and_grads(head, x, targets)[1])
 
 
 @dataclass(eq=False)
 class AdamState:
-    """Adam optimizer state; moment shapes mirror the parameter shapes."""
+    """Adam optimizer state; moment shapes mirror the parameter shapes (for a
+    head trained by ``train_head``, one vector each, in the head's layout)."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -308,21 +323,48 @@ class AdamState:
 
 
 def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """Standard bias-corrected Adam step, applied to the parameter arrays in place."""
+    """Standard bias-corrected Adam step, applied to the parameter arrays in place.
+
+    Each array is updated in blocks of ``ADAM_CHUNK`` elements through two
+    scratch blocks, with the same floating-point operations in the same order
+    as the whole-array expression
+    ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)``.
+    """
     if len(params) != len(grads) or len(params) != len(state.first_moment):
         raise ValueError("params, grads, and state must have the same structure")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.first_moment, state.second_moment):
+    arrays = list(zip(params, grads, state.first_moment, state.second_moment))
+    for p, g, m, v in arrays:
         if p.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.learning_rate * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        if not all(a.flags.c_contiguous for a in (p, g, m, v)):
+            raise ValueError("parameters, gradients and moments must be C-contiguous")
+    state.step_count += 1
+    t = state.step_count
+    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    size = min(ADAM_CHUNK, max((p.size for p in params), default=0))
+    scratch1, scratch2 = np.empty(size), np.empty(size)
+    for p, g, m, v in arrays:
+        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for lo in range(0, p.size, ADAM_CHUNK):
+            hi = min(lo + ADAM_CHUNK, p.size)
+            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s1, s2 = scratch1[:hi - lo], scratch2[:hi - lo]
+            mc *= b1
+            np.multiply(gc, 1.0 - b1, out=s1)
+            mc += s1
+            vc *= b2
+            np.multiply(gc, gc, out=s1)
+            s1 *= 1.0 - b2
+            vc += s1
+            np.divide(mc, bc1, out=s1)
+            s1 *= lr
+            np.divide(vc, bc2, out=s2)
+            np.sqrt(s2, out=s2)
+            s2 += eps
+            s1 /= s2
+            pc -= s1
 
 
 def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5) -> float:
@@ -343,7 +385,7 @@ def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5
         raise ValueError(f"perturbation h must lie in [1e-6, 1e-3], got {h}")
     X, _ = _as_batch(x, head.input_dim)
     T = np.asarray(targets, dtype=np.float64).reshape(X.shape[0], head.layer_dims[-1])
-    _, analytic = _loss_and_grads(head, X, T)
+    analytic = head.views(_loss_and_grads(head, X, T)[1])
     n_hidden = head.num_hidden
     batch = X.shape[0]
 

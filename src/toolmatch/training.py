@@ -101,6 +101,9 @@ class TrainedHead:
     best_validation_mse: float
     epochs_run: int
     training_log: list[tuple[float, float]] = field(default_factory=list)  # (train, val) per epoch
+    # Epoch whose parameters the head holds (0: the initialization); None
+    # when unknown, as for a loaded checkpoint, which does not store it.
+    best_epoch: int | None = None
 
 
 def split_validation(
@@ -163,7 +166,7 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
     head = init_head(config.layer_dims, init_seed)
     if config.max_epochs == 0:
         return TrainedHead(head=head, config=config, best_validation_mse=float("inf"),
-                           epochs_run=0, training_log=[])
+                           epochs_run=0, training_log=[], best_epoch=0)
 
     fit_ids, val_ids = split_validation(
         train_items, embeddings.tool_of, config.validation_fraction, SplitMix64(val_seed)
@@ -177,7 +180,7 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
         X_val = T_val = None  # degenerate split: monitor the train loss instead
 
     shuffler = SplitMix64(shuffle_seed)
-    params = head.parameters()
+    params = [head.vector]
     state = AdamState.for_params(params, config.learning_rate)
 
     n = len(fit_ids)
@@ -185,7 +188,7 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
     log: list[tuple[float, float]] = []
     best_val = float("inf")
     best_epoch = 0
-    best_params = [p.copy() for p in params]
+    best_vector = head.vector.copy()
     stale = 0
     epochs_run = 0
 
@@ -196,11 +199,11 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
         for start in range(0, n, config.batch_size):
             idx = order[start:start + config.batch_size]
             try:
-                loss, grads = _loss_and_grads(head, X_fit[idx], T_fit[idx])
+                loss, grad = _loss_and_grads(head, X_fit[idx], T_fit[idx])
             except FloatingPointError as exc:
                 raise TrainingDivergedError(epoch, str(exc)) from None
             sq_err_sum += loss * len(idx)
-            adam_update(params, grads, state)
+            adam_update(params, [grad], state)
         train_mse = sq_err_sum / n
         if X_val is not None:
             val_mse = _epoch_val_mse(head, X_val, T_val)
@@ -213,24 +216,22 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
         if val_mse < best_val:
             best_val = val_mse
             best_epoch = epoch
-            best_params = [p.copy() for p in params]
+            np.copyto(best_vector, head.vector)
             stale = 0
         else:
             stale += 1
             if stale >= config.patience:
                 break
 
-    for live, best in zip(params, best_params):
-        live[...] = best
-    trained = TrainedHead(
+    np.copyto(head.vector, best_vector)
+    return TrainedHead(
         head=head,
         config=config,
         best_validation_mse=best_val,
         epochs_run=epochs_run,
         training_log=log,
+        best_epoch=best_epoch,
     )
-    trained.best_epoch = best_epoch  # informational; derivable from the log
-    return trained
 
 
 def predict_attributes(trained: TrainedHead, embeddings: EmbeddingSet, item_id: int) -> np.ndarray:

@@ -453,6 +453,7 @@ class TestCheckpoint:
         assert loaded.epochs_run == trained.epochs_run
         assert loaded.best_validation_mse == trained.best_validation_mse
         assert loaded.training_log == []
+        assert isinstance(trained.best_epoch, int) and loaded.best_epoch is None
         for a, b in zip(trained.head.parameters(), loaded.head.parameters()):
             assert np.array_equal(a, b)
 

@@ -9,19 +9,19 @@ import numpy as np
 import pytest
 
 from toolmatch.nn import (
+    ADAM_CHUNK,
     LAYER_NORM_EPSILON,
     AdamState,
     DenseLayer,
     LayerNormParams,
     MlpHead,
+    _layer_norm_batch,
+    _loss_and_grads,
     adam_update,
-    batch_loss,
     gradcheck,
     head_backward,
     head_forward,
     init_head,
-    layer_norm_forward,
-    mse_loss,
     validate_layer_dims,
 )
 from toolmatch.rng import SplitMix64
@@ -31,6 +31,16 @@ def make_zero_head(dims):
     layers = [DenseLayer(np.zeros((o, i)), np.zeros(o)) for i, o in zip(dims[:-1], dims[1:])]
     norms = [LayerNormParams(np.ones(o), np.zeros(o)) for o in dims[1:-1]]
     return MlpHead(layer_dims=tuple(dims), layers=layers, norms=norms, rng_seed=0)
+
+
+def layer_norm(x, p):
+    """Layer norm of one vector through the batched implementation."""
+    return _layer_norm_batch(np.asarray(x, dtype=np.float64)[None, :], p)[2][0]
+
+
+def batch_loss(head, x, targets):
+    """Mean batch MSE, the quantity training minimizes."""
+    return _loss_and_grads(head, x, targets)[0]
 
 
 def reference_forward(head, x):
@@ -125,18 +135,18 @@ class TestInit:
 class TestLayerNorm:
     def test_constant_input_gives_zero(self):
         p = LayerNormParams(np.ones(4), np.zeros(4))
-        out = layer_norm_forward(np.full(4, 3.0), p)
+        out = layer_norm(np.full(4, 3.0), p)
         assert np.array_equal(out, np.zeros(4))
 
     def test_constant_input_beta_passthrough(self):
         p = LayerNormParams(np.ones(4), np.full(4, 2.5))
-        out = layer_norm_forward(np.full(4, 3.0), p)
+        out = layer_norm(np.full(4, 3.0), p)
         assert np.array_equal(out, np.full(4, 2.5))
 
     def test_two_point_hand_value(self):
         # x=(1,-1): mean 0, population var 1, y = 1/sqrt(1 + 1e-5).
         p = LayerNormParams(np.ones(2), np.zeros(2), epsilon=1e-5)
-        out = layer_norm_forward(np.array([1.0, -1.0]), p)
+        out = layer_norm(np.array([1.0, -1.0]), p)
         expected = 1.0 / math.sqrt(1.0 + 1e-5)
         assert out[0] == expected and out[1] == -expected
         assert abs(out[0] - 0.999995) < 1e-6
@@ -144,7 +154,7 @@ class TestLayerNorm:
     def test_population_variance_not_sample(self):
         # With n-1 normalization the two-point case would give 1/sqrt(2+eps).
         p = LayerNormParams(np.ones(2), np.zeros(2), epsilon=1e-5)
-        out = layer_norm_forward(np.array([1.0, -1.0]), p)
+        out = layer_norm(np.array([1.0, -1.0]), p)
         assert abs(out[0] - 1.0 / math.sqrt(2.0)) > 0.2
 
     def test_output_moments_property(self):
@@ -152,16 +162,17 @@ class TestLayerNorm:
         for _ in range(20):
             x = rng.normals(16) * rng.uniform(0.1, 10.0)
             p = LayerNormParams(np.ones(16), np.zeros(16))
-            y = layer_norm_forward(x, p)
+            y = layer_norm(x, p)
             assert abs(float(y.mean())) <= 1e-10
             var_x = float(np.asarray(x).var())
             expected = 1.0 / (1.0 + p.epsilon / var_x)
             assert abs(float(y.var()) - expected) < 1e-6
 
     def test_dimension_mismatch(self):
-        p = LayerNormParams(np.ones(4), np.zeros(4))
+        # A norm must be as wide as the layer it follows.
+        layers = [DenseLayer(np.zeros((5, 4)), np.zeros(5)), DenseLayer(np.zeros((13, 5)), np.zeros(13))]
         with pytest.raises(ValueError, match="match"):
-            layer_norm_forward(np.zeros(5), p)
+            MlpHead((4, 5, 13), layers, [LayerNormParams(np.ones(4), np.zeros(4))], rng_seed=0)
 
     def test_epsilon_positive(self):
         with pytest.raises(ValueError, match="epsilon"):
@@ -223,23 +234,84 @@ class TestForward:
             head_forward(head, np.ones(4))
 
 
+def bias_head(pred):
+    """A single linear layer with zero weights: every input maps to ``pred``."""
+    return MlpHead((4, 13), [DenseLayer(np.zeros((13, 4)), pred)], [], rng_seed=0)
+
+
 class TestMseLoss:
     def test_identity_is_zero(self):
         v = np.linspace(1, 7, 13)
-        assert mse_loss(v, v) == 0.0
+        assert batch_loss(bias_head(v), np.ones((1, 4)), v[None, :]) == 0.0
 
     def test_constant_offset(self):
         v = np.zeros(13)
-        assert mse_loss(v + 1.0, v) == 1.0
+        assert batch_loss(bias_head(v + 1.0), np.ones((1, 4)), v[None, :]) == 1.0
 
     def test_hand_value(self):
         pred = np.zeros(13)
         pred[0] = 2.0
-        assert mse_loss(pred, np.zeros(13)) == 4.0 / 13.0
+        assert batch_loss(bias_head(pred), np.ones((1, 4)), np.zeros((1, 13))) == 4.0 / 13.0
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            mse_loss(np.zeros(13), np.zeros(12))
+        with pytest.raises(ValueError, match="targets"):
+            batch_loss(bias_head(np.zeros(13)), np.ones((1, 4)), np.zeros((1, 12)))
+
+
+class TestParameterVector:
+    def test_layout_is_canonical_order(self):
+        head = init_head([5, 8, 6, 13], seed=4)
+        params = head.parameters()
+        assert np.array_equal(head.vector, np.concatenate([p.reshape(-1) for p in params]))
+        for p, view in zip(params, head.views(head.vector)):
+            assert np.shares_memory(p, head.vector)
+            assert np.array_equal(p, view)
+
+    def test_backward_results_share_no_memory(self):
+        head = init_head([5, 8, 13], seed=4)
+        x, t = np.ones((2, 5)), np.ones((2, 13))
+        first = head_backward(head, x, t)
+        second = head_backward(head, x, t)
+        for g in first:
+            assert not np.shares_memory(g, head.vector)
+            for other in second:
+                assert not np.shares_memory(g, other)
+        for g in second:
+            assert not np.shares_memory(g, head.vector)
+
+    def test_writes_through_layers_reach_vector_and_forward(self):
+        head = init_head([5, 8, 13], seed=4)
+        x = np.arange(5.0)
+        before = head_forward(head, x)
+        head.layers[1].weights[...] = 0.0
+        head.layers[1].bias[...] = 3.0
+        assert np.array_equal(head_forward(head, x), np.full(13, 3.0))
+        assert not np.array_equal(before, np.full(13, 3.0))
+        assert np.array_equal(head.vector[-13:], np.full(13, 3.0))
+        head.layers[0].weights[0, 0] = 42.0
+        assert head.vector[0] == 42.0
+
+    def test_copy_shares_nothing(self):
+        head = init_head([5, 8, 13], seed=4)
+        dup = head.copy()
+        assert not np.shares_memory(dup.vector, head.vector)
+        for a in dup.parameters():
+            for b in head.parameters():
+                assert not np.shares_memory(a, b)
+        assert np.array_equal(dup.vector, head.vector)
+
+    def test_construction_does_not_alias_inputs(self):
+        w, b = np.zeros((13, 4)), np.zeros(13)
+        head = MlpHead((4, 13), [DenseLayer(w, b)], [], rng_seed=0)
+        w[...] = 1.0
+        assert np.array_equal(head.layers[0].weights, np.zeros((13, 4)))
+
+    def test_structure_must_match_layer_dims(self):
+        with pytest.raises(ValueError, match="match"):
+            MlpHead((4, 13), [DenseLayer(np.zeros((13, 5)), np.zeros(13))], [], rng_seed=0)
+        with pytest.raises(ValueError, match="match"):
+            MlpHead((4, 13), [DenseLayer(np.zeros((13, 4)), np.zeros(13))],
+                    [LayerNormParams(np.ones(13), np.zeros(13))], rng_seed=0)
 
 
 class TestBackward:
@@ -302,6 +374,24 @@ def reference_adam(params, grads, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
     return ps
 
 
+def whole_array_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one expression per whole array, in the operation order the
+    chunked update must reproduce bit for bit."""
+    ps = [p.copy() for p in params]
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grads_per_step, start=1):
+        bc1 = 1.0 - beta1 ** t
+        bc2 = 1.0 - beta2 ** t
+        for p, g, m, v in zip(ps, grads, ms, vs):
+            m *= beta1
+            m += (1.0 - beta1) * g
+            v *= beta2
+            v += (1.0 - beta2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return ps
+
+
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
         params = [np.array([1.0, -2.0]), np.array([[3.0]])]
@@ -334,6 +424,24 @@ class TestAdam:
         adam_update(params, grads, state)
         for p, w in zip(params, want):
             assert np.allclose(p, w, rtol=1e-12, atol=1e-15)
+
+    def test_chunk_boundaries_match_whole_array_expression(self):
+        rng = SplitMix64(82)
+        shapes = [(2 * ADAM_CHUNK + 3,), (3, 5), (7,), (1, 1), (ADAM_CHUNK + 1,)]
+        params = [rng.normals(math.prod(s)).reshape(s) for s in shapes]
+        steps = [[rng.normals(math.prod(s)).reshape(s) for s in shapes] for _ in range(5)]
+        want = whole_array_adam(params, steps, lr=0.01)
+        state = AdamState.for_params(params, learning_rate=0.01)
+        for grads in steps:
+            adam_update(params, grads, state)
+        for p, w in zip(params, want):
+            assert np.array_equal(p, w)
+
+    def test_non_contiguous_rejected(self):
+        params = [np.zeros((3, 4))]
+        state = AdamState.for_params(params, learning_rate=0.1)
+        with pytest.raises(ValueError, match="contiguous"):
+            adam_update([params[0].T], [np.zeros((4, 3))], state)
 
     def test_shape_mismatch(self):
         params = [np.zeros(3)]

@@ -1,6 +1,8 @@
 """Training loop behavior: determinism, early stopping, convergence on a
 linearly solvable dataset, and failure modes."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,7 @@ class TestTrainHead:
         emb, catalog = toy_dataset()
         trained = train_head(emb, catalog, small_config(max_epochs=0))
         assert trained.epochs_run == 0
+        assert trained.best_epoch == 0
         assert trained.best_validation_mse == float("inf")
         assert trained.training_log == []
 
@@ -165,6 +168,29 @@ class TestTrainHead:
         assert a.training_log == b.training_log
         assert a.best_validation_mse == b.best_validation_mse
         assert a.epochs_run == b.epochs_run
+
+    @pytest.mark.parametrize("pathway, hidden, batch, digest, log", [
+        ("language", (256, 128, 64), 4,
+         "7047b2665e66c3c6a671b3448bb7abc43bdf5353d55230aede7ca8577c9af39d",
+         "[(25.56423934652382, 24.483128421674046), (23.682405596176636, 22.72976240863536), "
+         "(22.06383916040011, 21.235304317555034)]"),
+        ("visual", (256, 64), 32,
+         "fb53cf2849c8d873f8a09c9e9af308dc8dfa27809d8f7c221eeae5452b9c62b8",
+         "[(22.127410606734223, 21.636946876929564), (21.526348095659447, 21.043012425735956), "
+         "(20.946969028392015, 20.46670710647637)]"),
+    ], ids=["language", "visual"])
+    def test_bits_pinned_across_versions(self, pathway, hidden, batch, digest, log):
+        # Recorded when every parameter array was its own allocation and Adam
+        # ran one whole-array expression per array. 55 train items leave 50 to
+        # fit (one validation item per tool), so the last batch of 4 is short;
+        # the language head has 75 917 parameters, more than one Adam chunk.
+        emb, catalog = toy_dataset(n_tools=5, per_tool=12, dim=128, seed=17)
+        cfg = HeadConfig.for_pathway(pathway, 128, hidden_dims=hidden, max_epochs=3,
+                                     seed=5, batch_size=batch)
+        trained = train_head(emb, catalog, cfg)
+        got = hashlib.sha256(b"".join(p.tobytes() for p in trained.head.parameters())).hexdigest()
+        assert got == digest
+        assert repr(trained.training_log) == log
 
     def test_seed_changes_run(self):
         emb, catalog = toy_dataset()
