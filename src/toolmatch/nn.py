@@ -9,9 +9,13 @@ finite-difference checks and bit-reproducibility hold at desk scale.
 Each head keeps all its parameters in one float64 vector, ``MlpHead.vector``,
 in canonical order: for each hidden layer ``weights, bias, gamma, beta``, then
 the output layer's ``weights, bias``, each array row-major. Every layer's and
-norm's arrays are views of that vector. Gradients come back as one fresh
-vector in the same layout, Adam keeps its moments as vectors of that length,
-and checkpoints list the arrays in the same order.
+norm's arrays are views of that vector, and checkpoints list the arrays in the
+same order.
+
+One cached forward pass, ``_forward``, runs the layer stack over a batch: the
+prediction path keeps only its output, backprop and ``gradcheck`` read its
+per-layer caches. Gradients come back as one fresh vector in the head's
+layout, and Adam steps that vector in place with moments of the same length.
 """
 
 from __future__ import annotations
@@ -193,28 +197,30 @@ def head_forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
     columns. Raises if any intermediate goes non-finite (divergence signal).
     """
     batch, squeeze = _as_batch(x, head.input_dim)
-    out = _forward(head, batch)[-1]
+    out = _forward(head, batch)[0]
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite value in forward pass (diverged parameters?)")
     return out[0] if squeeze else out
 
 
-def _forward(head: MlpHead, x: np.ndarray) -> list[np.ndarray]:
-    """Plain forward over a (B, d) batch; returns per-layer activations, last is output."""
-    a = x
-    acts = []
+def _forward(head: MlpHead, x: np.ndarray) -> tuple[np.ndarray, list, list]:
+    """Forward over a (B, d) batch. Returns ``(out, inputs, hidden)``:
+    ``inputs[k]`` enters linear layer k (the final one included) and
+    ``hidden[k]`` is hidden layer k's ``(z, xhat, inv_std, y)``, its linear
+    output and its layer norm's normalized input, inverse deviation and output.
+    """
+    inputs, hidden = [x], []
     for layer, norm in zip(head.layers[:-1], head.norms):
-        z = a @ layer.weights.T + layer.bias
-        _, _, y = _layer_norm_batch(z, norm)
-        a = np.maximum(y, 0.0)
-        acts.append(a)
+        z = inputs[-1] @ layer.weights.T + layer.bias
+        xhat, inv_std, y = _layer_norm_batch(z, norm)
+        hidden.append((z, xhat, inv_std, y))
+        inputs.append(np.maximum(y, 0.0))
     final = head.layers[-1]
-    acts.append(a @ final.weights.T + final.bias)
-    return acts
+    return inputs[-1] @ final.weights.T + final.bias, inputs, hidden
 
 
 def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
-    """One cached forward plus full backward.
+    """Mean batch MSE and its gradient: the cached forward, then a full backward.
 
     Returns (loss, gradient), the gradient one fresh vector in the head's
     layout (see ``MlpHead.views``).
@@ -230,21 +236,7 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
 
     B = X.shape[0]
     n_hidden = head.num_hidden
-    # Forward with caches.
-    inputs = [X]  # input to each linear layer
-    xhats, inv_stds, ys = [], [], []
-    a = X
-    for layer, norm in zip(head.layers[:-1], head.norms):
-        z = a @ layer.weights.T + layer.bias
-        xhat, inv_std, y = _layer_norm_batch(z, norm)
-        a = np.maximum(y, 0.0)
-        xhats.append(xhat)
-        inv_stds.append(inv_std)
-        ys.append(y)
-        inputs.append(a)
-    final = head.layers[-1]
-    out = inputs[-1] @ final.weights.T + final.bias
-
+    out, inputs, hidden = _forward(head, X)
     diff = out - T
     loss = float(np.mean(diff * diff))
     if not np.isfinite(loss):
@@ -257,21 +249,21 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
     grads = head.views(grad)
     np.matmul(d_out.T, inputs[-1], out=grads[4 * n_hidden])  # final weights
     np.sum(d_out, axis=0, out=grads[4 * n_hidden + 1])  # final bias
-    d_above, weights_above = d_out, final.weights
+    d_above, weights_above = d_out, head.layers[-1].weights
 
     # Layer 0's input gradient is never formed: nothing upstream needs it.
     for i in range(n_hidden - 1, -1, -1):
-        norm = head.norms[i]
+        _, xhat, inv_std, y = hidden[i]
         d_a = d_above @ weights_above
-        d_y = d_a * (ys[i] > 0.0)  # ReLU subgradient at 0 is 0
-        np.sum(d_y * xhats[i], axis=0, out=grads[4 * i + 2])  # gamma
+        d_y = d_a * (y > 0.0)  # ReLU subgradient at 0 is 0
+        np.sum(d_y * xhat, axis=0, out=grads[4 * i + 2])  # gamma
         np.sum(d_y, axis=0, out=grads[4 * i + 3])  # beta
-        d_xhat = d_y * norm.gamma
+        d_xhat = d_y * head.norms[i].gamma
         # Layer-norm Jacobian with population variance.
-        d_z = inv_stds[i] * (
+        d_z = inv_std * (
             d_xhat
             - d_xhat.mean(axis=1, keepdims=True)
-            - xhats[i] * (d_xhat * xhats[i]).mean(axis=1, keepdims=True)
+            - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
         )
         np.matmul(d_z.T, inputs[i], out=grads[4 * i])  # weights
         np.sum(d_z, axis=0, out=grads[4 * i + 1])  # bias
@@ -294,77 +286,66 @@ def head_backward(head: MlpHead, x: np.ndarray, targets: np.ndarray) -> list[np.
 
 @dataclass(eq=False)
 class AdamState:
-    """Adam optimizer state; moment shapes mirror the parameter shapes (for a
-    head trained by ``train_head``, one vector each, in the head's layout)."""
+    """Adam optimizer state for one parameter vector, such as a head's
+    ``MlpHead.vector``: each moment is one vector of that length."""
 
     learning_rate: float
+    first_moment: np.ndarray
+    second_moment: np.ndarray
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step_count: int = 0
-    first_moment: list[np.ndarray] = field(default_factory=list)
-    second_moment: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: list[np.ndarray], learning_rate: float,
+    def for_params(cls, vector: np.ndarray, learning_rate: float,
                    beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
         if learning_rate < 0:
             raise ValueError(f"learning rate must be non-negative, got {learning_rate}")
         if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
             raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        return cls(
-            learning_rate=learning_rate,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-            first_moment=[np.zeros_like(p) for p in params],
-            second_moment=[np.zeros_like(p) for p in params],
-        )
+        return cls(learning_rate, np.zeros_like(vector), np.zeros_like(vector), beta1, beta2, eps)
 
 
-def adam_update(params: list[np.ndarray], grads: list[np.ndarray], state: AdamState) -> None:
-    """Standard bias-corrected Adam step, applied to the parameter arrays in place.
+def adam_update(vector: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """Standard bias-corrected Adam step, applied to the parameter vector in place.
 
-    Each array is updated in blocks of ``ADAM_CHUNK`` elements through two
+    The vector is updated in blocks of ``ADAM_CHUNK`` elements through two
     scratch blocks, with the same floating-point operations in the same order
     as the whole-array expression
     ``m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*(g*g); p -= lr*(m/bc1)/(sqrt(v/bc2)+eps)``.
     """
-    if len(params) != len(grads) or len(params) != len(state.first_moment):
-        raise ValueError("params, grads, and state must have the same structure")
-    arrays = list(zip(params, grads, state.first_moment, state.second_moment))
-    for p, g, m, v in arrays:
-        if p.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {p.shape}")
-        if not all(a.flags.c_contiguous for a in (p, g, m, v)):
-            raise ValueError("parameters, gradients and moments must be C-contiguous")
+    arrays = (vector, grad, state.first_moment, state.second_moment)
+    if vector.ndim != 1 or any(a.shape != vector.shape for a in arrays):
+        raise ValueError("parameter, gradient and moments must be 1-D of one shape, got shapes "
+                         f"{', '.join(str(a.shape) for a in arrays)}")
+    if not all(a.flags.c_contiguous for a in arrays):
+        raise ValueError("parameter, gradient and moments must be C-contiguous")
     state.step_count += 1
     t = state.step_count
     b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    size = min(ADAM_CHUNK, max((p.size for p in params), default=0))
+    size = min(ADAM_CHUNK, vector.size)
     scratch1, scratch2 = np.empty(size), np.empty(size)
-    for p, g, m, v in arrays:
-        p, g, m, v = p.reshape(-1), g.reshape(-1), m.reshape(-1), v.reshape(-1)
-        for lo in range(0, p.size, ADAM_CHUNK):
-            hi = min(lo + ADAM_CHUNK, p.size)
-            pc, gc, mc, vc = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
-            s1, s2 = scratch1[:hi - lo], scratch2[:hi - lo]
-            mc *= b1
-            np.multiply(gc, 1.0 - b1, out=s1)
-            mc += s1
-            vc *= b2
-            np.multiply(gc, gc, out=s1)
-            s1 *= 1.0 - b2
-            vc += s1
-            np.divide(mc, bc1, out=s1)
-            s1 *= lr
-            np.divide(vc, bc2, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += eps
-            s1 /= s2
-            pc -= s1
+    for lo in range(0, vector.size, ADAM_CHUNK):
+        hi = min(lo + ADAM_CHUNK, vector.size)
+        pc, gc, mc, vc = (a[lo:hi] for a in arrays)
+        s1, s2 = scratch1[:hi - lo], scratch2[:hi - lo]
+        mc *= b1
+        np.multiply(gc, 1.0 - b1, out=s1)
+        mc += s1
+        vc *= b2
+        np.multiply(gc, gc, out=s1)
+        s1 *= 1.0 - b2
+        vc += s1
+        np.divide(mc, bc1, out=s1)
+        s1 *= lr
+        np.divide(vc, bc2, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += eps
+        s1 /= s2
+        pc -= s1
 
 
 def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5) -> float:
@@ -384,26 +365,16 @@ def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"perturbation h must lie in [1e-6, 1e-3], got {h}")
     X, _ = _as_batch(x, head.input_dim)
-    T = np.asarray(targets, dtype=np.float64).reshape(X.shape[0], head.layer_dims[-1])
-    analytic = head.views(_loss_and_grads(head, X, T)[1])
+    analytic = head.views(_loss_and_grads(head, X, targets)[1])
+    T = np.asarray(targets, dtype=np.float64)
     n_hidden = head.num_hidden
     batch = X.shape[0]
-
-    # Unperturbed caches: acts[k] enters linear layer k, zs[k] leaves it,
-    # xhats[k] and ys[k] are hidden layer k's normalized pre-activation and
-    # layer-norm output.
-    acts, zs, xhats, ys = [X], [], [], []
-    for layer, norm in zip(head.layers[:-1], head.norms):
-        zs.append(acts[-1] @ layer.weights.T + layer.bias)
-        xhat, _, y = _layer_norm_batch(zs[-1], norm)
-        xhats.append(xhat)
-        ys.append(y)
-        acts.append(np.maximum(y, 0.0))
-    final = head.layers[-1]
-    zs.append(acts[-1] @ final.weights.T + final.bias)
     inv_count = 1.0 / T.size
-    if not np.isfinite(((zs[-1] - T) ** 2).sum()):
-        raise FloatingPointError("non-finite loss")
+
+    # Unperturbed caches: acts[k] enters linear layer k, zs[k] leaves it, and
+    # hidden[k] is hidden layer k's (z, xhat, inv_std, y).
+    out, acts, hidden = _forward(head, X)
+    zs = [z for z, _, _, _ in hidden] + [out]
 
     def losses(v: np.ndarray, j: int, normalized: bool) -> np.ndarray:
         """Batch loss of each probe in a (probes, batch, width) stack holding
@@ -433,14 +404,14 @@ def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5
     worst = 0.0
     for group, grad in enumerate(analytic):
         k, part = divmod(group, 4) if group < 4 * n_hidden else (n_hidden, group - 4 * n_hidden)
-        base, normalized = (zs[k], False) if part < 2 else (ys[k], True)
+        base, normalized = (zs[k], False) if part < 2 else (hidden[k][3], True)
         for lo in range(0, grad.size, block):
             f = np.arange(lo, min(lo + block, grad.size))
             if part == 0:  # weights (out, in): entry f moves output f // in by h * input f % in
                 cols, inputs = divmod(f, acts[k].shape[1])
                 step = acts[k][:, inputs].T
             elif part == 2:  # gamma f moves column f by h * xhat
-                cols, step = f, xhats[k][:, f].T
+                cols, step = f, hidden[k][1][:, f].T
             else:  # bias or beta f moves column f by h
                 cols, step = f, np.ones((len(f), batch))
             probes = np.arange(len(f))

@@ -180,8 +180,7 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
         X_val = T_val = None  # degenerate split: monitor the train loss instead
 
     shuffler = SplitMix64(shuffle_seed)
-    params = [head.vector]
-    state = AdamState.for_params(params, config.learning_rate)
+    state = AdamState.for_params(head.vector, config.learning_rate)
 
     n = len(fit_ids)
     order = list(range(n))
@@ -203,7 +202,7 @@ def train_head(embeddings: EmbeddingSet, catalog: ToolCatalog, config: HeadConfi
             except FloatingPointError as exc:
                 raise TrainingDivergedError(epoch, str(exc)) from None
             sq_err_sum += loss * len(idx)
-            adam_update(params, [grad], state)
+            adam_update(head.vector, grad, state)
         train_mse = sq_err_sum / n
         if X_val is not None:
             val_mse = _epoch_val_mse(head, X_val, T_val)

@@ -437,6 +437,17 @@ class TestGradcheck:
         assert report["pass"] is True
         assert report["max_relative_error"] < 1e-4
 
+    @pytest.mark.parametrize("dims, seed, value", [
+        ("16,256,64,13", 3, 1.1557975984708563e-05),
+        ("32,256,128,64,13", 5, 1.2373429026744054e-05),
+    ])
+    def test_value_pinned_across_versions(self, capsys, dims, seed, value):
+        # Exact float bits: any change to how the forward pass, the backward
+        # pass or the probe losses round changes them. Like the digests in
+        # TestBitPins, they assume the same numpy and BLAS build.
+        report = run_json(capsys, "gradcheck", "--dims", dims, "--seed", str(seed))
+        assert report["max_relative_error"] == value
+
     def test_failing_tolerance_exits_one(self, capsys):
         code, out, err = run(
             capsys, "gradcheck", "--dims", "8,16,13", "--seed", "1", "--tol", "1e-18",

@@ -4,6 +4,7 @@ central finite differences."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from toolmatch.nn import (
     DenseLayer,
     LayerNormParams,
     MlpHead,
+    _forward,
     _layer_norm_batch,
     _loss_and_grads,
     adam_update,
@@ -234,6 +236,43 @@ class TestForward:
             head_forward(head, np.ones(4))
 
 
+class TestForwardCache:
+    def test_caches_match_independent_recomputation(self):
+        rng = SplitMix64(62)
+        for dims in [(8, 256, 64, 13), (5, 7, 3, 13), (6, 13)]:
+            head = init_head(dims, rng.next_u64())
+            x = rng.normals(3 * dims[0]).reshape(3, dims[0])
+            out, inputs, hidden = _forward(head, x)
+            assert len(inputs) == len(head.layers) and len(hidden) == head.num_hidden
+            a = x
+            for k, (layer, norm) in enumerate(zip(head.layers[:-1], head.norms)):
+                assert np.array_equal(inputs[k], a)
+                z = a @ layer.weights.T + layer.bias
+                centred = z - z.mean(axis=1, keepdims=True)
+                inv_std = 1.0 / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + norm.epsilon)
+                xhat = centred * inv_std
+                y = norm.gamma * xhat + norm.beta
+                for got, want in zip(hidden[k], (z, xhat, inv_std, y)):
+                    assert got.shape == want.shape and np.array_equal(got, want)
+                a = np.maximum(y, 0.0)
+            assert np.array_equal(inputs[-1], a)
+            final = head.layers[-1]
+            assert np.array_equal(out, a @ final.weights.T + final.bias)
+
+    def test_loss_and_gradient_difference_the_forward_output(self):
+        # Training's loss and its output gradient read the same bits that
+        # head_forward returns for the batch.
+        rng = SplitMix64(63)
+        head = init_head([6, 16, 8, 13], rng.next_u64())
+        for batch in (1, 4):
+            x = rng.normals(batch * 6).reshape(batch, 6)
+            t = rng.uniforms(batch * 13, 1, 7).reshape(batch, 13)
+            diff = head_forward(head, x) - t
+            loss, grad = _loss_and_grads(head, x, t)
+            assert loss == float(np.mean(diff * diff))
+            assert np.array_equal(head.views(grad)[-1], np.sum((2.0 / (batch * 13)) * diff, axis=0))
+
+
 def bias_head(pred):
     """A single linear layer with zero weights: every input maps to ``pred``."""
     return MlpHead((4, 13), [DenseLayer(np.zeros((13, 4)), pred)], [], rng_seed=0)
@@ -359,107 +398,113 @@ class TestBackward:
             head_backward(head, np.zeros((2, 4)), np.zeros((3, 13)))
 
 
-def reference_adam(params, grads, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Independent Adam recurrence for constant gradients."""
-    ps = [p.copy() for p in params]
-    ms = [np.zeros_like(p) for p in params]
-    vs = [np.zeros_like(p) for p in params]
+def reference_adam(vector, grad, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Independent Adam recurrence for a constant gradient."""
+    p = vector.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
     for t in range(1, steps + 1):
-        for p, g, m, v in zip(ps, grads, ms, vs):
-            m[...] = beta1 * m + (1 - beta1) * g
-            v[...] = beta2 * v + (1 - beta2) * g * g
-            mhat = m / (1 - beta1**t)
-            vhat = v / (1 - beta2**t)
-            p[...] = p - lr * mhat / (np.sqrt(vhat) + eps)
-    return ps
+        m = beta1 * m + (1 - beta1) * grad
+        v = beta2 * v + (1 - beta2) * grad * grad
+        mhat = m / (1 - beta1**t)
+        vhat = v / (1 - beta2**t)
+        p = p - lr * mhat / (np.sqrt(vhat) + eps)
+    return p
 
 
-def whole_array_adam(params, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """Adam as one expression per whole array, in the operation order the
-    chunked update must reproduce bit for bit."""
-    ps = [p.copy() for p in params]
-    ms = [np.zeros_like(p) for p in params]
-    vs = [np.zeros_like(p) for p in params]
-    for t, grads in enumerate(grads_per_step, start=1):
+def whole_array_adam(vector, grads_per_step, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as one expression over the whole vector, in the operation order
+    the chunked update must reproduce bit for bit."""
+    p = vector.copy()
+    m = np.zeros_like(p)
+    v = np.zeros_like(p)
+    for t, g in enumerate(grads_per_step, start=1):
         bc1 = 1.0 - beta1 ** t
         bc2 = 1.0 - beta2 ** t
-        for p, g, m, v in zip(ps, grads, ms, vs):
-            m *= beta1
-            m += (1.0 - beta1) * g
-            v *= beta2
-            v += (1.0 - beta2) * (g * g)
-            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
-    return ps
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    return p
+
+
+def assert_rejected(vector, grad, state, match):
+    """The step raises and leaves the count, the vector and the moments as they were."""
+    before = [a.copy() for a in (vector, state.first_moment, state.second_moment)]
+    with pytest.raises(ValueError, match=match):
+        adam_update(vector, grad, state)
+    assert state.step_count == 0
+    for a, b in zip((vector, state.first_moment, state.second_moment), before):
+        assert np.array_equal(a, b)
 
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState.for_params(params, learning_rate=0.1)
-        before = [p.copy() for p in params]
-        adam_update(params, [np.zeros(2), np.zeros((1, 1))], state)
+        vector = np.array([1.0, -2.0, 3.0])
+        state = AdamState.for_params(vector, learning_rate=0.1)
+        adam_update(vector, np.zeros(3), state)
         assert state.step_count == 1
-        for p, b in zip(params, before):
-            assert np.array_equal(p, b)
-        for m, v in zip(state.first_moment, state.second_moment):
-            assert np.array_equal(m, np.zeros_like(m))
-            assert np.array_equal(v, np.zeros_like(v))
+        assert np.array_equal(vector, [1.0, -2.0, 3.0])
+        assert np.array_equal(state.first_moment, np.zeros(3))
+        assert np.array_equal(state.second_moment, np.zeros(3))
 
     def test_first_step_identity(self):
         g = 0.7
         lr = 0.05
-        params = [np.array([1.0])]
-        state = AdamState.for_params(params, learning_rate=lr)
-        adam_update(params, [np.array([g])], state)
+        vector = np.array([1.0])
+        state = AdamState.for_params(vector, learning_rate=lr)
+        adam_update(vector, np.array([g]), state)
         # Bias correction makes mhat=g and sqrt(vhat)=g on step one.
-        assert params[0][0] == pytest.approx(1.0 - lr * g / (g + 1e-8), rel=1e-15)
+        assert vector[0] == pytest.approx(1.0 - lr * g / (g + 1e-8), rel=1e-15)
 
     def test_two_steps_match_reference_trace(self):
         rng = SplitMix64(80)
-        params = [rng.normals(6).reshape(2, 3), rng.normals(4)]
-        grads = [rng.normals(6).reshape(2, 3), rng.normals(4)]
-        want = reference_adam(params, grads, lr=0.01, steps=2)
-        state = AdamState.for_params(params, learning_rate=0.01)
-        adam_update(params, grads, state)
-        adam_update(params, grads, state)
-        for p, w in zip(params, want):
-            assert np.allclose(p, w, rtol=1e-12, atol=1e-15)
+        vector = rng.normals(10)
+        grad = rng.normals(10)
+        want = reference_adam(vector, grad, lr=0.01, steps=2)
+        state = AdamState.for_params(vector, learning_rate=0.01)
+        adam_update(vector, grad, state)
+        adam_update(vector, grad, state)
+        assert np.allclose(vector, want, rtol=1e-12, atol=1e-15)
 
     def test_chunk_boundaries_match_whole_array_expression(self):
         rng = SplitMix64(82)
-        shapes = [(2 * ADAM_CHUNK + 3,), (3, 5), (7,), (1, 1), (ADAM_CHUNK + 1,)]
-        params = [rng.normals(math.prod(s)).reshape(s) for s in shapes]
-        steps = [[rng.normals(math.prod(s)).reshape(s) for s in shapes] for _ in range(5)]
-        want = whole_array_adam(params, steps, lr=0.01)
-        state = AdamState.for_params(params, learning_rate=0.01)
-        for grads in steps:
-            adam_update(params, grads, state)
-        for p, w in zip(params, want):
-            assert np.array_equal(p, w)
+        for size in (2 * ADAM_CHUNK + 3, ADAM_CHUNK, ADAM_CHUNK + 1, 1):
+            vector = rng.normals(size)
+            steps = [rng.normals(size) for _ in range(5)]
+            want = whole_array_adam(vector, steps, lr=0.01)
+            state = AdamState.for_params(vector, learning_rate=0.01)
+            for grad in steps:
+                adam_update(vector, grad, state)
+            assert np.array_equal(vector, want), size
 
     def test_non_contiguous_rejected(self):
-        params = [np.zeros((3, 4))]
-        state = AdamState.for_params(params, learning_rate=0.1)
-        with pytest.raises(ValueError, match="contiguous"):
-            adam_update([params[0].T], [np.zeros((4, 3))], state)
+        strided = np.zeros(8)[::2]
+        state = AdamState.for_params(np.zeros(4), learning_rate=0.1)
+        assert_rejected(strided, np.zeros(4), state, "contiguous")
+        assert_rejected(np.zeros(4), strided, state, "contiguous")
+        state.first_moment = np.zeros(8)[::2]
+        assert_rejected(np.zeros(4), np.zeros(4), state, "contiguous")
 
     def test_shape_mismatch(self):
-        params = [np.zeros(3)]
-        state = AdamState.for_params(params, learning_rate=0.1)
-        with pytest.raises(ValueError, match="shape"):
-            adam_update(params, [np.zeros(4)], state)
+        state = AdamState.for_params(np.zeros(3), learning_rate=0.1)
+        assert_rejected(np.zeros(3), np.zeros(4), state, r"shape.*\(3,\), \(4,\)")
 
     def test_structure_mismatch(self):
-        params = [np.zeros(3)]
-        state = AdamState.for_params(params, learning_rate=0.1)
-        with pytest.raises(ValueError, match="structure"):
-            adam_update(params, [np.zeros(3), np.zeros(1)], state)
+        # Adam steps one 1-D vector: a 2-D parameter or a moment of another
+        # length is rejected before any state changes.
+        state = AdamState.for_params(np.zeros((2, 3)), learning_rate=0.1)
+        assert_rejected(np.zeros((2, 3)), np.zeros((2, 3)), state, "1-D")
+        state = AdamState.for_params(np.zeros(3), learning_rate=0.1)
+        state.second_moment = np.zeros(4)
+        assert_rejected(np.zeros(3), np.zeros(3), state, "1-D")
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError, match="learning rate"):
-            AdamState.for_params([np.zeros(1)], learning_rate=-1.0)
+            AdamState.for_params(np.zeros(1), learning_rate=-1.0)
         with pytest.raises(ValueError, match="beta"):
-            AdamState.for_params([np.zeros(1)], learning_rate=0.1, beta1=1.0)
+            AdamState.for_params(np.zeros(1), learning_rate=0.1, beta1=1.0)
 
     def test_small_step_does_not_increase_loss(self):
         # One Adam step at lr=1e-6 on a fixed batch.
@@ -468,10 +513,9 @@ class TestAdam:
             head = init_head([6, 16, 13], rng.next_u64())
             x = rng.normals(12).reshape(2, 6)
             t = rng.uniforms(26, 1, 7).reshape(2, 13)
-            before = batch_loss(head, x, t)
-            params = head.parameters()
-            state = AdamState.for_params(params, learning_rate=1e-6)
-            adam_update(params, head_backward(head, x, t), state)
+            before, grad = _loss_and_grads(head, x, t)
+            state = AdamState.for_params(head.vector, learning_rate=1e-6)
+            adam_update(head.vector, grad, state)
             assert batch_loss(head, x, t) <= before
 
 
@@ -513,6 +557,14 @@ class TestGradcheck:
                 gradcheck(head, x, t, bad)
         gradcheck(head, x, t, 1e-6)
         gradcheck(head, x, t, 1e-3)
+
+    def test_wrong_target_shape_rejected(self):
+        # A transposed or flat target array is not reshaped into a batch.
+        head = init_head([4, 8, 13], seed=0)
+        x = np.ones((2, 4))
+        for bad in (np.zeros((13, 2)), np.zeros(26)):
+            with pytest.raises(ValueError, match=re.escape(f"targets shape {bad.shape}")):
+                gradcheck(head, x, bad)
 
     def test_probe_paths_match_full_loss(self):
         # The cached-prefix probes must compute the same loss surface that

@@ -26,8 +26,8 @@ def test_install_layer_spans_round_trip(monkeypatch):
 
 def test_training_counts_reach_the_tracer(monkeypatch):
     """``train_head`` must call ``_loss_and_grads`` with the batch as positional
-    argument 1 and look ``adam_update`` up on ``toolmatch.training``, or the
-    benchmark's ``nn.*`` per-layer metrics read 0."""
+    argument 1, and look ``adam_update`` and ``head_forward`` up on
+    ``toolmatch.training``, or the benchmark's ``nn.*`` per-layer metrics read 0."""
     monkeypatch.syspath_prepend(str(TOOLBENCH))
     import numpy as np
     import tracing
@@ -51,3 +51,6 @@ def test_training_counts_reach_the_tracer(monkeypatch):
     assert totals["nn.loss_and_grads.rows"] == fit_rows
     assert totals["nn.adam_update.calls"] == -(-fit_rows // cfg.batch_size)
     assert totals["nn.loss_and_grads.calls"] == totals["nn.adam_update.calls"]
+    # One validation forward per epoch, over the 4 held-out rows.
+    assert totals["nn.head_forward.calls"] == 1
+    assert totals["nn.head_forward.rows"] == 4
