@@ -188,15 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_synth(args) -> tuple[dict, int]:
-    spec = SyntheticSpec(
-        n_tools=args.tools,
-        images_per_tool=args.images,
-        scenarios_per_tool=SCENARIO_PRESETS[args.preset],
-        d_v=args.dv,
-        d_l=args.dl,
-        noise_sigma=args.sigma,
-        seed=args.seed,
-    )
+    spec = SyntheticSpec.preset(args.preset, args.tools, images_per_tool=args.images,
+                                d_v=args.dv, d_l=args.dl, noise_sigma=args.sigma, seed=args.seed)
     dataset = generate(spec)
     paths = write_dataset(dataset, args.out)
     report = {
@@ -419,6 +412,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report, exit_code = args.handler(args)
+        report["wall_time_s"] = time.perf_counter() - start
+        _emit(report, args)
     except (ValueError, KeyError, OSError, FloatingPointError, TrainingDivergedError) as exc:
         error = {
             "error": {
@@ -429,8 +424,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         }
         print(json.dumps(error, indent=2), file=sys.stderr)
         return 1
-    report["wall_time_s"] = time.perf_counter() - start
-    _emit(report, args)
     return exit_code
 
 

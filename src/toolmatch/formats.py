@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import struct
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,7 +29,7 @@ from toolmatch.domain import (
     ToolRecord,
     VALID_SPLITS,
 )
-from toolmatch.nn import LAYER_NORM_EPSILON, DenseLayer, LayerNormParams, MlpHead, validate_layer_dims
+from toolmatch.nn import MlpHead, validate_layer_dims
 from toolmatch.training import HeadConfig, TrainedHead
 
 CATALOG_HEADER = "tool_id,tool_name," + ",".join(ATTRIBUTE_NAMES)
@@ -39,6 +39,9 @@ EMBEDDING_VERSION = 1
 _EMBEDDING_HEADER_BYTES = 20  # magic 4 + version 4 + dim 4 + count 8
 
 CHECKPOINT_VERSION = 1
+# Names of a checkpoint layer's parameter arrays, in canonical order; the
+# output layer has only the first two.
+_PARAMETER_NAMES = ("weights", "bias", "gamma", "beta")
 
 
 class FormatError(ValueError):
@@ -132,10 +135,9 @@ def load_catalog(path) -> ToolCatalog:
             raise FormatError(
                 f"{path}: row {lineno}: expected {2 + NUM_ATTRIBUTES} fields, found {len(fields)}"
             )
-        try:
-            tool_id = int(fields[0])
-        except ValueError:
-            raise FormatError(f"{path}: row {lineno}: tool_id {fields[0]!r} is not an integer") from None
+        if not (fields[0].isascii() and fields[0].isdigit()):
+            raise FormatError(f"{path}: row {lineno}: tool_id {fields[0]!r} is not a non-negative integer")
+        tool_id = int(fields[0])
         if tool_id in seen:
             raise FormatError(f"{path}: row {lineno}: duplicate tool_id {tool_id}")
         seen.add(tool_id)
@@ -365,33 +367,21 @@ def _encode_array(arr: np.ndarray) -> list[str]:
     return [repr(float(v)) for v in arr.reshape(-1)]
 
 
-def _decode_array(group: dict, key: str, shape: tuple[int, ...], where: str) -> np.ndarray:
+def _decimal_strings(group: dict, key: str, size: int, where: str) -> list[str]:
     values = _field(group, key, list, where)
-    size = math.prod(shape)
     if len(values) != size:
         raise FormatError(f"{where} {key}: expected {size} values, found {len(values)}")
     if not set(map(type, values)) <= {str}:
         raise FormatError(f"{where}: field {key!r} must hold decimal strings only")
-    try:
-        arr = np.fromiter(map(float, values), dtype=np.float64, count=size)
-    except ValueError:
-        raise FormatError(f"{where}: field {key!r} must hold decimal strings only") from None
-    if not np.isfinite(arr).all():
-        raise FormatError(f"{where} {key}: non-finite parameter value")
-    return arr.reshape(shape)
+    return values
 
 
 def save_checkpoint(trained: TrainedHead, path) -> None:
     """Serialize a trained head to JSON with bit-exact parameter strings."""
     head = trained.head
-    groups = []
-    for i, layer in enumerate(head.layers):
-        group = {"weights": _encode_array(layer.weights), "bias": _encode_array(layer.bias)}
-        if i < len(head.layers) - 1:
-            norm = head.norms[i]
-            group["gamma"] = _encode_array(norm.gamma)
-            group["beta"] = _encode_array(norm.beta)
-        groups.append(group)
+    params = head.parameters()
+    groups = [dict(zip(_PARAMETER_NAMES, map(_encode_array, params[4 * k:4 * k + 4])))
+              for k in range(len(head.layer_dims) - 1)]
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "pathway": trained.config.pathway,
@@ -446,24 +436,29 @@ def load_checkpoint(path) -> TrainedHead:
     n_layers = len(dims) - 1
     if len(groups) != n_layers:
         raise FormatError(f"{path}: expected {n_layers} parameter groups, found {len(groups)}")
-    layers: list[DenseLayer] = []
-    norms: list[LayerNormParams] = []
+    fields = []  # (where, name, decimal strings) per parameter array, in canonical order
     for i, group in enumerate(groups):
-        fan_in, fan_out = dims[i], dims[i + 1]
-        hidden = i < n_layers - 1
-        allowed = {"weights", "bias", "gamma", "beta"} if hidden else {"weights", "bias"}
+        names = _PARAMETER_NAMES if i < n_layers - 1 else _PARAMETER_NAMES[:2]
         at = f"{path}: layer {i}"
-        extra = set(group) - allowed
+        extra = set(group) - set(names)
         if extra:
             raise FormatError(f"{at}: unexpected field {sorted(extra)[0]!r}")
-        layers.append(DenseLayer(_decode_array(group, "weights", (fan_out, fan_in), at),
-                                 _decode_array(group, "bias", (fan_out,), at)))
-        if hidden:
-            gamma = _decode_array(group, "gamma", (fan_out,), at)
-            beta = _decode_array(group, "beta", (fan_out,), at)
-            norms.append(LayerNormParams(gamma, beta, LAYER_NORM_EPSILON))
-
-    head = MlpHead(layer_dims=dims, layers=layers, norms=norms, rng_seed=seed)
+        sizes = (dims[i + 1] * dims[i],) + (dims[i + 1],) * 3
+        fields += [(at, name, _decimal_strings(group, name, size, at)) for name, size in zip(names, sizes)]
+    strings = chain.from_iterable(f[2] for f in fields)
+    try:
+        head = MlpHead(dims, np.fromiter(map(float, strings), dtype=np.float64,
+                                         count=sum(len(f[2]) for f in fields)))
+    except ValueError:
+        # An unparseable or non-finite value: name the first array that holds one.
+        for at, name, values in fields:
+            try:
+                finite = np.isfinite(np.fromiter(map(float, values), dtype=np.float64)).all()
+            except ValueError:
+                raise FormatError(f"{at}: field {name!r} must hold decimal strings only") from None
+            if not finite:
+                raise FormatError(f"{at} {name}: non-finite parameter value") from None
+        raise
     best = _field(doc, "best_validation_mse", str, where)
     try:
         best = float(best)

@@ -8,9 +8,9 @@ finite-difference checks and bit-reproducibility hold at desk scale.
 
 Each head keeps all its parameters in one float64 vector, ``MlpHead.vector``,
 in canonical order: for each hidden layer ``weights, bias, gamma, beta``, then
-the output layer's ``weights, bias``, each array row-major. Every layer's and
-norm's arrays are views of that vector, and checkpoints list the arrays in the
-same order.
+the output layer's ``weights, bias``, each array row-major. A head is its
+``layer_dims`` and that vector; ``MlpHead.parameters()`` views it per array,
+and checkpoints list the arrays in the same order.
 
 One cached forward pass, ``_forward``, runs the layer stack over a batch: the
 prediction path keeps only its output, backprop and ``gradcheck`` read its
@@ -20,6 +20,7 @@ layout, and Adam steps that vector in place with moments of the same length.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,105 +37,50 @@ ADAM_CHUNK = 32768
 
 
 @dataclass(eq=False)
-class DenseLayer:
-    weights: np.ndarray  # (out_dim, in_dim)
-    bias: np.ndarray  # (out_dim,)
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2 or self.bias.ndim != 1:
-            raise ValueError("weights must be 2-D and bias 1-D")
-        if self.weights.shape[0] != self.bias.shape[0]:
-            raise ValueError(
-                f"bias length {self.bias.shape[0]} does not match "
-                f"output dimension {self.weights.shape[0]}"
-            )
-        if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
-            raise ValueError("layer parameters must be finite")
-
-
-@dataclass(eq=False)
-class LayerNormParams:
-    gamma: np.ndarray
-    beta: np.ndarray
-    epsilon: float = LAYER_NORM_EPSILON
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=np.float64)
-        self.beta = np.asarray(self.beta, dtype=np.float64)
-        if self.gamma.shape != self.beta.shape or self.gamma.ndim != 1:
-            raise ValueError("gamma and beta must be 1-D vectors of equal length")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-
-    @property
-    def dim(self) -> int:
-        return self.gamma.shape[0]
-
-
-@dataclass(eq=False)
 class MlpHead:
-    """Parameters of one attribute-prediction head.
+    """Parameters of one attribute-prediction head: its widths and one vector.
 
-    Construction copies the given arrays into ``vector`` and rebinds every
-    ``DenseLayer.weights/bias`` and ``LayerNormParams.gamma/beta`` as a view of
-    it, so writing through either one writes the other.
+    Construction validates ``layer_dims`` and copies ``vector``, which must
+    hold every parameter in canonical order and be finite. ``parameters()``
+    returns views of the vector, built once here, so writing through a view
+    writes the vector.
     """
 
     layer_dims: tuple[int, ...]
-    layers: list[DenseLayer]
-    norms: list[LayerNormParams]  # one per hidden layer
-    rng_seed: int
-    vector: np.ndarray = field(init=False, repr=False)
+    vector: np.ndarray = field(repr=False)
     _layout: list[tuple[int, int, tuple[int, ...]]] = field(init=False, repr=False)
+    _params: list[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
-        dims = self.layer_dims
-        shapes = [l.weights.shape for l in self.layers]
-        widths = [n.dim for n in self.norms]
-        if shapes != list(zip(dims[1:], dims[:-1])) or widths != list(dims[1:-1]):
-            raise ValueError(f"layer weights {shapes} and norm widths {widths} "
-                             f"do not match layer_dims {tuple(dims)}")
-        params = self.parameters()
+        dims = self.layer_dims = validate_layer_dims(self.layer_dims)
+        self.vector = np.array(self.vector, dtype=np.float64)
         self._layout, start = [], 0
-        for p in params:
-            self._layout.append((start, start + p.size, p.shape))
-            start += p.size
-        self.vector = np.concatenate([p.reshape(-1) for p in params])
-        views = iter(self.views(self.vector))
-        for layer, norm in zip(self.layers[:-1], self.norms):
-            layer.weights, layer.bias, norm.gamma, norm.beta = (
-                next(views), next(views), next(views), next(views))
-        self.layers[-1].weights, self.layers[-1].bias = next(views), next(views)
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
+        for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+            norm = [(fan_out,)] * 2 if k < len(dims) - 2 else []
+            for shape in [(fan_out, fan_in), (fan_out,)] + norm:
+                stop = start + math.prod(shape)
+                self._layout.append((start, stop, shape))
+                start = stop
+        if self.vector.shape != (start,):
+            raise ValueError(f"parameter vector of shape {self.vector.shape} does not match "
+                             f"layer_dims {dims}, which take ({start},)")
+        if not np.isfinite(self.vector).all():
+            raise ValueError("head parameters must be finite")
+        self._params = self.views(self.vector)
 
     @property
     def num_hidden(self) -> int:
         return len(self.layer_dims) - 2
 
     def parameters(self) -> list[np.ndarray]:
-        """Live parameter arrays in canonical order."""
-        params: list[np.ndarray] = []
-        for layer, norm in zip(self.layers[:-1], self.norms):
-            params.extend((layer.weights, layer.bias, norm.gamma, norm.beta))
-        params.extend((self.layers[-1].weights, self.layers[-1].bias))
-        return params
+        """Live parameter arrays in canonical order: hidden layer k's weights,
+        bias, gamma and beta at ``4*k`` to ``4*k + 3``, then the output
+        layer's weights and bias."""
+        return list(self._params)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """Views of a vector in this head's layout, one per parameter in canonical order."""
         return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
-
-    def copy(self) -> "MlpHead":
-        return MlpHead(
-            layer_dims=tuple(self.layer_dims),
-            layers=[DenseLayer(l.weights, l.bias) for l in self.layers],
-            norms=[LayerNormParams(n.gamma, n.beta, n.epsilon) for n in self.norms],
-            rng_seed=self.rng_seed,
-        )
 
 
 def validate_layer_dims(layer_dims) -> tuple[int, ...]:
@@ -157,24 +103,22 @@ def init_head(layer_dims, seed: int) -> MlpHead:
     """
     dims = validate_layer_dims(layer_dims)
     rng = SplitMix64(seed)
-    layers: list[DenseLayer] = []
-    norms: list[LayerNormParams] = []
-    for i, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+    parts: list[np.ndarray] = []
+    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
         limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniforms(fan_out * fan_in, -limit, limit).reshape(fan_out, fan_in)
-        layers.append(DenseLayer(w, np.zeros(fan_out)))
-        if i < len(dims) - 2:  # hidden layer: attach a norm
-            norms.append(LayerNormParams(np.ones(fan_out), np.zeros(fan_out)))
-    return MlpHead(layer_dims=dims, layers=layers, norms=norms, rng_seed=seed)
+        parts += [rng.uniforms(fan_out * fan_in, -limit, limit), np.zeros(fan_out)]
+        if k < len(dims) - 2:  # hidden layer: its norm's gamma and beta
+            parts += [np.ones(fan_out), np.zeros(fan_out)]
+    return MlpHead(dims, np.concatenate(parts))
 
 
-def _layer_norm_batch(z: np.ndarray, p: LayerNormParams):
+def _layer_norm_batch(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
     """Batched layer norm. Returns (xhat, inv_std, y) with shapes (B,H),(B,1),(B,H)."""
     mean = z.mean(axis=1, keepdims=True)
     var = z.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + p.epsilon)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat = (z - mean) * inv_std
-    return xhat, inv_std, p.gamma * xhat + p.beta
+    return xhat, inv_std, gamma * xhat + beta
 
 
 def _as_batch(x: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
@@ -196,7 +140,7 @@ def head_forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
     Accepts a single vector or a (batch, input_dim) matrix; output has 13
     columns. Raises if any intermediate goes non-finite (divergence signal).
     """
-    batch, squeeze = _as_batch(x, head.input_dim)
+    batch, squeeze = _as_batch(x, head.layer_dims[0])
     out = _forward(head, batch)[0]
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite value in forward pass (diverged parameters?)")
@@ -209,14 +153,15 @@ def _forward(head: MlpHead, x: np.ndarray) -> tuple[np.ndarray, list, list]:
     ``hidden[k]`` is hidden layer k's ``(z, xhat, inv_std, y)``, its linear
     output and its layer norm's normalized input, inverse deviation and output.
     """
+    params = head.parameters()
     inputs, hidden = [x], []
-    for layer, norm in zip(head.layers[:-1], head.norms):
-        z = inputs[-1] @ layer.weights.T + layer.bias
-        xhat, inv_std, y = _layer_norm_batch(z, norm)
+    for k in range(head.num_hidden):
+        weights, bias, gamma, beta = params[4 * k:4 * k + 4]
+        z = inputs[-1] @ weights.T + bias
+        xhat, inv_std, y = _layer_norm_batch(z, gamma, beta)
         hidden.append((z, xhat, inv_std, y))
         inputs.append(np.maximum(y, 0.0))
-    final = head.layers[-1]
-    return inputs[-1] @ final.weights.T + final.bias, inputs, hidden
+    return inputs[-1] @ params[-2].T + params[-1], inputs, hidden
 
 
 def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
@@ -225,7 +170,7 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
     Returns (loss, gradient), the gradient one fresh vector in the head's
     layout (see ``MlpHead.views``).
     """
-    X, _ = _as_batch(x, head.input_dim)
+    X, _ = _as_batch(x, head.layer_dims[0])
     T = np.asarray(targets, dtype=np.float64)
     if T.shape != (X.shape[0], head.layer_dims[-1]):
         raise ValueError(
@@ -236,6 +181,7 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
 
     B = X.shape[0]
     n_hidden = head.num_hidden
+    params = head.parameters()
     out, inputs, hidden = _forward(head, X)
     diff = out - T
     loss = float(np.mean(diff * diff))
@@ -249,7 +195,7 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
     grads = head.views(grad)
     np.matmul(d_out.T, inputs[-1], out=grads[4 * n_hidden])  # final weights
     np.sum(d_out, axis=0, out=grads[4 * n_hidden + 1])  # final bias
-    d_above, weights_above = d_out, head.layers[-1].weights
+    d_above, weights_above = d_out, params[-2]
 
     # Layer 0's input gradient is never formed: nothing upstream needs it.
     for i in range(n_hidden - 1, -1, -1):
@@ -258,7 +204,7 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
         d_y = d_a * (y > 0.0)  # ReLU subgradient at 0 is 0
         np.sum(d_y * xhat, axis=0, out=grads[4 * i + 2])  # gamma
         np.sum(d_y, axis=0, out=grads[4 * i + 3])  # beta
-        d_xhat = d_y * head.norms[i].gamma
+        d_xhat = d_y * params[4 * i + 2]
         # Layer-norm Jacobian with population variance.
         d_z = inv_std * (
             d_xhat
@@ -267,7 +213,7 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
         )
         np.matmul(d_z.T, inputs[i], out=grads[4 * i])  # weights
         np.sum(d_z, axis=0, out=grads[4 * i + 1])  # bias
-        d_above, weights_above = d_z, head.layers[i].weights
+        d_above, weights_above = d_z, params[4 * i]
 
     if not np.isfinite(grad).all():
         raise FloatingPointError("non-finite gradient")
@@ -364,10 +310,11 @@ def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5
     """
     if not 1e-6 <= h <= 1e-3:
         raise ValueError(f"perturbation h must lie in [1e-6, 1e-3], got {h}")
-    X, _ = _as_batch(x, head.input_dim)
+    X, _ = _as_batch(x, head.layer_dims[0])
     analytic = head.views(_loss_and_grads(head, X, targets)[1])
     T = np.asarray(targets, dtype=np.float64)
     n_hidden = head.num_hidden
+    params = head.parameters()
     batch = X.shape[0]
     inv_count = 1.0 / T.size
 
@@ -382,18 +329,16 @@ def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5
         ``normalized``."""
         while j < n_hidden:
             if not normalized:
-                norm = head.norms[j]
                 v -= v.mean(axis=-1, keepdims=True)
-                v *= 1.0 / np.sqrt((v * v).mean(axis=-1, keepdims=True) + norm.epsilon)
-                v *= norm.gamma
-                v += norm.beta
+                v *= 1.0 / np.sqrt((v * v).mean(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
+                v *= params[4 * j + 2]
+                v += params[4 * j + 3]
             np.maximum(v, 0.0, out=v)
-            layer = head.layers[j + 1]
             # A stacked matmul runs one small product per probe. Flattening the
             # stack into one large product rounds differently and measured
             # twice the noise on gradients under the 1e-8 floor.
-            v = v @ layer.weights.T
-            v += layer.bias
+            v = v @ params[4 * j + 4].T
+            v += params[4 * j + 5]
             j, normalized = j + 1, False
         v -= T
         v *= v

@@ -15,7 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from toolmatch.domain import NUM_ATTRIBUTES, EmbeddingSet, ToolCatalog
-from toolmatch.nn import AdamState, MlpHead, _loss_and_grads, adam_update, head_forward, init_head
+from toolmatch.nn import (AdamState, MlpHead, _loss_and_grads, adam_update, head_forward, init_head,
+                          validate_layer_dims)
 from toolmatch.rng import SplitMix64
 
 PATHWAYS = ("visual", "language")
@@ -54,9 +55,7 @@ class HeadConfig:
     def __post_init__(self):
         if self.pathway not in PATHWAYS:
             raise ValueError(f"pathway must be one of {PATHWAYS}, got {self.pathway!r}")
-        object.__setattr__(self, "layer_dims", tuple(int(d) for d in self.layer_dims))
-        if self.layer_dims[-1] != NUM_ATTRIBUTES:
-            raise ValueError(f"head output dimension must be {NUM_ATTRIBUTES}")
+        object.__setattr__(self, "layer_dims", validate_layer_dims(self.layer_dims))
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.batch_size < 1:

@@ -42,6 +42,7 @@ from toolmatch.similarity import (
     AblationMask,
     cosine_similarity,
     negative_euclidean,
+    score_batch,
     select_tool,
 )
 from toolmatch.synthetic import SyntheticSpec, generate
@@ -501,18 +502,27 @@ def test_criterion_8_similarity_invariants():
     """Cosine positive-scale invariance and both-metric symmetry within
     1e-12 over 1e5 random pairs; exact-match selection always wins under
     negative_euclidean in 100 constructed cases."""
-    rng = SplitMix64(8008)
-    worst_scale = worst_sym_cos = worst_sym_euc = 0.0
-    for _ in range(100_000):
-        a = rng.normals(13)
-        b = rng.normals(13)
-        lam = rng.uniform(1e-3, 1e3)
-        c_ab = cosine_similarity(a, b)
-        worst_scale = max(worst_scale, abs(cosine_similarity(a, lam * b) - c_ab))
-        worst_sym_cos = max(worst_sym_cos, abs(cosine_similarity(b, a) - c_ab))
-        worst_sym_euc = max(
-            worst_sym_euc, abs(negative_euclidean(a, b) - negative_euclidean(b, a))
-        )
+    # Pair i takes words 27i..27i+26 of one SplitMix64(8008) stream: a and b
+    # from 13 normals each, then the scale from one uniform. Two generators
+    # at the same seed read every word both ways and keep the ones each needs.
+    pairs = 100_000
+    normals = SplitMix64(8008).normals(27 * pairs).reshape(pairs, 27)
+    a, b = normals[:, :13], normals[:, 13:26]
+    lam = SplitMix64(8008).uniforms(27 * pairs, 1e-3, 1e3).reshape(pairs, 27)[:, 26:]
+    cos_ab, cos_scaled = score_batch(a, np.stack([b, lam * b], axis=1), "cosine")[0].T
+    cos_ba = score_batch(b, a[:, None], "cosine")[0][:, 0]
+    euc_ab = score_batch(a, b[:, None], "negative_euclidean")[0][:, 0]
+    euc_ba = score_batch(b, a[:, None], "negative_euclidean")[0][:, 0]
+    worst_scale = float(np.abs(cos_scaled - cos_ab).max())
+    worst_sym_cos = float(np.abs(cos_ba - cos_ab).max())
+    worst_sym_euc = float(np.abs(euc_ab - euc_ba).max())
+    # The one-pair functions are the batch's rows, bit for bit.
+    for i in range(0, pairs, 997):
+        assert cosine_similarity(a[i], b[i]) == cos_ab[i]
+        assert cosine_similarity(a[i], lam[i, 0] * b[i]) == cos_scaled[i]
+        assert cosine_similarity(b[i], a[i]) == cos_ba[i]
+        assert negative_euclidean(a[i], b[i]) == euc_ab[i]
+        assert negative_euclidean(b[i], a[i]) == euc_ba[i]
     exact_hits = 0
     for case in range(100):
         case_rng = SplitMix64(9000 + case)

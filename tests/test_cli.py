@@ -470,6 +470,19 @@ class TestGradcheck:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["pass"] is True
 
+    @pytest.mark.parametrize("target, error", [
+        ("missing_dir", "FileNotFoundError"), ("directory", "IsADirectoryError"),
+    ])
+    def test_unwritable_out_is_runtime_error(self, capsys, tmp_path, target, error):
+        # Writing the report is part of the command: a bad --out prints the
+        # JSON error object and exits 1 instead of ending in a traceback.
+        out_path = tmp_path / "no" / "such" / "r.json" if target == "missing_dir" else tmp_path
+        code, out, err = run(capsys, "gradcheck", "--dims", "4,13", "--out", str(out_path))
+        assert code == 1 and out == ""
+        payload = json.loads(err)
+        assert payload["error"]["type"] == error
+        assert str(out_path) in payload["error"]["message"]
+
     def test_deterministic(self, capsys):
         a = run_json(capsys, "gradcheck", "--dims", "6,16,13", "--seed", "4")
         b = run_json(capsys, "gradcheck", "--dims", "6,16,13", "--seed", "4")

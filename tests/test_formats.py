@@ -2,6 +2,7 @@
 manifest, scenario/trial JSONL, and bit-exact checkpoints."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,17 @@ class TestCatalogCsv:
         row = ",".join(["7", "awl"] + ["4.0"] * 13)
         path.write_text(CATALOG_HEADER + "\n" + row + "\n" + row + "\n")
         with pytest.raises(FormatError, match="duplicate tool_id 7"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("raw", ["-1", "1_0", "+3", " 4", "x"])
+    def test_tool_id_must_be_plain_digits(self, tmp_path, raw):
+        # int() would take "1_0" as 10 and "+3" as 3; the reader rejects
+        # rather than coercing, and names the file and the row.
+        path = tmp_path / "bad.csv"
+        good = ",".join(["0", "awl"] + ["4.0"] * 13)
+        bad = ",".join([raw, "axe"] + ["4.0"] * 13)
+        path.write_text(CATALOG_HEADER + "\n" + good + "\n" + bad + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: row 3: tool_id {raw!r}")):
             load_catalog(path)
 
     def test_ids_must_ascend(self, tmp_path):
@@ -534,6 +546,23 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="non-finite parameter"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("layer, key, value, message", [
+        (0, "gamma", "inf", "layer 0 gamma: non-finite parameter value"),
+        (1, "bias", "-nan", "layer 1 bias: non-finite parameter value"),
+        (1, "weights", "1.0.0", "layer 1: field 'weights' must hold decimal strings only"),
+        (0, "beta", "0x1p-3", "layer 0: field 'beta' must hold decimal strings only"),
+    ])
+    def test_bad_value_names_its_array(self, tmp_path, layer, key, value, message):
+        # A bad value names its layer and array wherever it sits in the vector.
+        trained, _ = trained_fixture()
+        path = tmp_path / "head.json"
+        save_checkpoint(trained, path)
+        doc = json.loads(path.read_text())
+        doc["parameters"][layer][key][-1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_checkpoint(path)
+
     def test_missing_field(self, tmp_path):
         trained, _ = trained_fixture()
         path = tmp_path / "head.json"
@@ -567,7 +596,7 @@ class TestCheckpoint:
         doc = json.loads(path.read_text())
         values = doc["parameters"][0]["weights"]
         assert all(isinstance(v, str) for v in values)
-        assert float(values[0]) == trained.head.layers[0].weights[0, 0]
+        assert float(values[0]) == trained.head.parameters()[0][0, 0]
         assert isinstance(doc["best_validation_mse"], str)
 
 

@@ -2,6 +2,7 @@
 reimplementation, closed-form gradients, a hand-rolled Adam trace, and
 central finite differences."""
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -13,8 +14,6 @@ from toolmatch.nn import (
     ADAM_CHUNK,
     LAYER_NORM_EPSILON,
     AdamState,
-    DenseLayer,
-    LayerNormParams,
     MlpHead,
     _forward,
     _layer_norm_batch,
@@ -29,15 +28,30 @@ from toolmatch.nn import (
 from toolmatch.rng import SplitMix64
 
 
+def head_of(dims, *arrays):
+    """A head built from its parameter arrays, given in canonical order."""
+    return MlpHead(tuple(dims), np.concatenate([np.ravel(a) for a in arrays]))
+
+
 def make_zero_head(dims):
-    layers = [DenseLayer(np.zeros((o, i)), np.zeros(o)) for i, o in zip(dims[:-1], dims[1:])]
-    norms = [LayerNormParams(np.ones(o), np.zeros(o)) for o in dims[1:-1]]
-    return MlpHead(layer_dims=tuple(dims), layers=layers, norms=norms, rng_seed=0)
+    """Zero weights, biases and shifts; unit layer-norm scales."""
+    arrays = []
+    for k, (fan_in, fan_out) in enumerate(zip(dims[:-1], dims[1:])):
+        arrays += [np.zeros((fan_out, fan_in)), np.zeros(fan_out)]
+        if k < len(dims) - 2:
+            arrays += [np.ones(fan_out), np.zeros(fan_out)]
+    return head_of(dims, *arrays)
 
 
-def layer_norm(x, p):
+def hidden_layers(head):
+    """(weights, bias, gamma, beta) of each hidden layer, read from parameters()."""
+    params = head.parameters()
+    return [params[4 * k:4 * k + 4] for k in range(head.num_hidden)]
+
+
+def layer_norm(x, gamma, beta):
     """Layer norm of one vector through the batched implementation."""
-    return _layer_norm_batch(np.asarray(x, dtype=np.float64)[None, :], p)[2][0]
+    return _layer_norm_batch(np.asarray(x, dtype=np.float64)[None, :], gamma, beta)[2][0]
 
 
 def batch_loss(head, x, targets):
@@ -48,15 +62,15 @@ def batch_loss(head, x, targets):
 def reference_forward(head, x):
     """Independent straight-line forward pass over one vector."""
     a = np.asarray(x, dtype=np.float64)
-    for layer, norm in zip(head.layers[:-1], head.norms):
-        z = layer.weights @ a + layer.bias
+    for weights, bias, gamma, beta in hidden_layers(head):
+        z = weights @ a + bias
         mean = sum(z) / len(z)
         var = sum((zi - mean) ** 2 for zi in z) / len(z)
-        xhat = np.array([(zi - mean) / math.sqrt(var + norm.epsilon) for zi in z])
-        y = norm.gamma * xhat + norm.beta
+        xhat = np.array([(zi - mean) / math.sqrt(var + LAYER_NORM_EPSILON) for zi in z])
+        y = gamma * xhat + beta
         a = np.array([max(yi, 0.0) for yi in y])
-    final = head.layers[-1]
-    return final.weights @ a + final.bias
+    weights, bias = head.parameters()[-2:]
+    return weights @ a + bias
 
 
 class TestInit:
@@ -81,33 +95,33 @@ class TestInit:
     def test_different_seed_differs(self):
         h1 = init_head([8, 13], seed=1)
         h2 = init_head([8, 13], seed=2)
-        assert not np.array_equal(h1.layers[0].weights, h2.layers[0].weights)
+        assert not np.array_equal(h1.parameters()[0], h2.parameters()[0])
 
     def test_single_linear_layer_has_no_norms(self):
         head = init_head([8, 13], seed=5)
-        assert len(head.layers) == 1
-        assert head.norms == []
-        assert head.layers[0].weights.shape == (13, 8)
+        assert head.num_hidden == 0
+        assert [p.shape for p in head.parameters()] == [(13, 8), (13,)]
 
     def test_structure(self):
         head = init_head([8, 256, 64, 13], seed=1)
         assert head.layer_dims == (8, 256, 64, 13)
-        assert [l.weights.shape for l in head.layers] == [(256, 8), (64, 256), (13, 64)]
-        assert [n.dim for n in head.norms] == [256, 64]
-        for layer in head.layers:
-            assert np.all(layer.bias == 0.0)
-        for norm in head.norms:
-            assert np.all(norm.gamma == 1.0) and np.all(norm.beta == 0.0)
+        params = head.parameters()
+        assert [p.shape for p in params] == [
+            (256, 8), (256,), (256,), (256,), (64, 256), (64,), (64,), (64,), (13, 64), (13,)]
+        for bias in params[1::4]:
+            assert np.all(bias == 0.0)
+        for _, _, gamma, beta in hidden_layers(head):
+            assert np.all(gamma == 1.0) and np.all(beta == 0.0)
 
     def test_fan_in_variance_within_20_percent(self):
         # U(-limit, limit) with limit = sqrt(6/fan_in) has variance 2/fan_in.
         head = init_head([8, 256, 64, 13], seed=1)
-        for layer, fan_in in zip(head.layers, (8, 256, 64)):
+        for weights, fan_in in zip(head.parameters()[0::4], (8, 256, 64)):
             target = 2.0 / fan_in
-            sample = float(layer.weights.var())
+            sample = float(weights.var())
             assert abs(sample - target) / target < 0.20
             limit = math.sqrt(6.0 / fan_in)
-            assert float(np.abs(layer.weights).max()) < limit
+            assert float(np.abs(weights).max()) < limit
 
     def test_invalid_dims(self):
         with pytest.raises(ValueError, match="at least"):
@@ -118,67 +132,57 @@ class TestInit:
             validate_layer_dims([8, 12])
 
     def test_parameter_order(self):
+        # weights, bias, gamma, beta of the hidden layer, then the output
+        # layer's weights and bias, laid end to end in the vector.
         head = init_head([4, 6, 13], seed=3)
         params = head.parameters()
-        assert params[0] is head.layers[0].weights
-        assert params[1] is head.layers[0].bias
-        assert params[2] is head.norms[0].gamma
-        assert params[3] is head.norms[0].beta
-        assert params[4] is head.layers[1].weights
-        assert params[5] is head.layers[1].bias
-
-    def test_copy_is_deep(self):
-        head = init_head([4, 6, 13], seed=3)
-        dup = head.copy()
-        dup.layers[0].weights[0, 0] += 1.0
-        assert head.layers[0].weights[0, 0] != dup.layers[0].weights[0, 0]
+        assert [p.shape for p in params] == [(6, 4), (6,), (6,), (6,), (13, 6), (13,)]
+        starts = np.cumsum([0] + [p.size for p in params])[:-1]
+        for i, p in enumerate(params):
+            p.reshape(-1)[0] = 100.0 + i
+        assert head.vector[starts].tolist() == [100.0 + i for i in range(6)]
+        # The views are built once: every call returns the same arrays.
+        assert all(a is b for a, b in zip(params, head.parameters()))
 
 
 class TestLayerNorm:
     def test_constant_input_gives_zero(self):
-        p = LayerNormParams(np.ones(4), np.zeros(4))
-        out = layer_norm(np.full(4, 3.0), p)
+        out = layer_norm(np.full(4, 3.0), np.ones(4), np.zeros(4))
         assert np.array_equal(out, np.zeros(4))
 
     def test_constant_input_beta_passthrough(self):
-        p = LayerNormParams(np.ones(4), np.full(4, 2.5))
-        out = layer_norm(np.full(4, 3.0), p)
+        out = layer_norm(np.full(4, 3.0), np.ones(4), np.full(4, 2.5))
         assert np.array_equal(out, np.full(4, 2.5))
 
     def test_two_point_hand_value(self):
         # x=(1,-1): mean 0, population var 1, y = 1/sqrt(1 + 1e-5).
-        p = LayerNormParams(np.ones(2), np.zeros(2), epsilon=1e-5)
-        out = layer_norm(np.array([1.0, -1.0]), p)
+        assert LAYER_NORM_EPSILON == 1e-5
+        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
         expected = 1.0 / math.sqrt(1.0 + 1e-5)
         assert out[0] == expected and out[1] == -expected
         assert abs(out[0] - 0.999995) < 1e-6
 
     def test_population_variance_not_sample(self):
         # With n-1 normalization the two-point case would give 1/sqrt(2+eps).
-        p = LayerNormParams(np.ones(2), np.zeros(2), epsilon=1e-5)
-        out = layer_norm(np.array([1.0, -1.0]), p)
+        out = layer_norm(np.array([1.0, -1.0]), np.ones(2), np.zeros(2))
         assert abs(out[0] - 1.0 / math.sqrt(2.0)) > 0.2
 
     def test_output_moments_property(self):
         rng = SplitMix64(40)
         for _ in range(20):
             x = rng.normals(16) * rng.uniform(0.1, 10.0)
-            p = LayerNormParams(np.ones(16), np.zeros(16))
-            y = layer_norm(x, p)
+            y = layer_norm(x, np.ones(16), np.zeros(16))
             assert abs(float(y.mean())) <= 1e-10
             var_x = float(np.asarray(x).var())
-            expected = 1.0 / (1.0 + p.epsilon / var_x)
+            expected = 1.0 / (1.0 + LAYER_NORM_EPSILON / var_x)
             assert abs(float(y.var()) - expected) < 1e-6
 
     def test_dimension_mismatch(self):
-        # A norm must be as wide as the layer it follows.
-        layers = [DenseLayer(np.zeros((5, 4)), np.zeros(5)), DenseLayer(np.zeros((13, 5)), np.zeros(13))]
-        with pytest.raises(ValueError, match="match"):
-            MlpHead((4, 5, 13), layers, [LayerNormParams(np.ones(4), np.zeros(4))], rng_seed=0)
-
-    def test_epsilon_positive(self):
-        with pytest.raises(ValueError, match="epsilon"):
-            LayerNormParams(np.ones(2), np.zeros(2), epsilon=0.0)
+        # A norm must be as wide as the layer it follows: a 4-wide norm after
+        # a 5-wide layer leaves the vector two values short.
+        with pytest.raises(ValueError, match=r"shape \(111,\) does not match .* take \(113,\)"):
+            head_of((4, 5, 13), np.zeros((5, 4)), np.zeros(5), np.ones(4), np.zeros(4),
+                    np.zeros((13, 5)), np.zeros(13))
 
 
 class TestForward:
@@ -191,7 +195,7 @@ class TestForward:
         w = np.zeros((13, 8))
         for i in range(8):
             w[i, i] = 1.0
-        head = MlpHead((8, 13), [DenseLayer(w, np.full(13, 2.0))], [], rng_seed=0)
+        head = head_of((8, 13), w, np.full(13, 2.0))
         x = np.arange(8.0)
         out = head_forward(head, x)
         assert np.array_equal(out[:8], x + 2.0)
@@ -230,8 +234,9 @@ class TestForward:
         # Varied first-layer rows keep hidden activations non-constant so the
         # layer norm cannot cancel them before the huge final weights overflow.
         head = make_zero_head([4, 8, 13])
-        head.layers[0].weights[:] = np.arange(32.0).reshape(8, 4)
-        head.layers[1].weights[:] = 1e308
+        params = head.parameters()
+        params[0][:] = np.arange(32.0).reshape(8, 4)
+        params[4][:] = 1e308
         with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="non-finite"):
             head_forward(head, np.ones(4))
 
@@ -243,21 +248,21 @@ class TestForwardCache:
             head = init_head(dims, rng.next_u64())
             x = rng.normals(3 * dims[0]).reshape(3, dims[0])
             out, inputs, hidden = _forward(head, x)
-            assert len(inputs) == len(head.layers) and len(hidden) == head.num_hidden
+            assert len(inputs) == len(dims) - 1 and len(hidden) == head.num_hidden
             a = x
-            for k, (layer, norm) in enumerate(zip(head.layers[:-1], head.norms)):
+            for k, (weights, bias, gamma, beta) in enumerate(hidden_layers(head)):
                 assert np.array_equal(inputs[k], a)
-                z = a @ layer.weights.T + layer.bias
+                z = a @ weights.T + bias
                 centred = z - z.mean(axis=1, keepdims=True)
-                inv_std = 1.0 / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + norm.epsilon)
+                inv_std = 1.0 / np.sqrt((centred ** 2).mean(axis=1, keepdims=True) + LAYER_NORM_EPSILON)
                 xhat = centred * inv_std
-                y = norm.gamma * xhat + norm.beta
+                y = gamma * xhat + beta
                 for got, want in zip(hidden[k], (z, xhat, inv_std, y)):
                     assert got.shape == want.shape and np.array_equal(got, want)
                 a = np.maximum(y, 0.0)
             assert np.array_equal(inputs[-1], a)
-            final = head.layers[-1]
-            assert np.array_equal(out, a @ final.weights.T + final.bias)
+            weights, bias = head.parameters()[-2:]
+            assert np.array_equal(out, a @ weights.T + bias)
 
     def test_loss_and_gradient_difference_the_forward_output(self):
         # Training's loss and its output gradient read the same bits that
@@ -275,7 +280,7 @@ class TestForwardCache:
 
 def bias_head(pred):
     """A single linear layer with zero weights: every input maps to ``pred``."""
-    return MlpHead((4, 13), [DenseLayer(np.zeros((13, 4)), pred)], [], rng_seed=0)
+    return head_of((4, 13), np.zeros((13, 4)), pred)
 
 
 class TestMseLoss:
@@ -322,17 +327,19 @@ class TestParameterVector:
         head = init_head([5, 8, 13], seed=4)
         x = np.arange(5.0)
         before = head_forward(head, x)
-        head.layers[1].weights[...] = 0.0
-        head.layers[1].bias[...] = 3.0
+        params = head.parameters()
+        params[4][...] = 0.0
+        params[5][...] = 3.0
         assert np.array_equal(head_forward(head, x), np.full(13, 3.0))
         assert not np.array_equal(before, np.full(13, 3.0))
         assert np.array_equal(head.vector[-13:], np.full(13, 3.0))
-        head.layers[0].weights[0, 0] = 42.0
+        params[0][0, 0] = 42.0
         assert head.vector[0] == 42.0
 
     def test_copy_shares_nothing(self):
+        # A head built from another head's widths and vector is a deep copy.
         head = init_head([5, 8, 13], seed=4)
-        dup = head.copy()
+        dup = MlpHead(head.layer_dims, head.vector)
         assert not np.shares_memory(dup.vector, head.vector)
         for a in dup.parameters():
             for b in head.parameters():
@@ -340,17 +347,30 @@ class TestParameterVector:
         assert np.array_equal(dup.vector, head.vector)
 
     def test_construction_does_not_alias_inputs(self):
-        w, b = np.zeros((13, 4)), np.zeros(13)
-        head = MlpHead((4, 13), [DenseLayer(w, b)], [], rng_seed=0)
-        w[...] = 1.0
-        assert np.array_equal(head.layers[0].weights, np.zeros((13, 4)))
+        vector = np.zeros(13 * 4 + 13)
+        head = MlpHead((4, 13), vector)
+        vector[...] = 1.0
+        assert np.array_equal(head.vector, np.zeros(13 * 4 + 13))
 
     def test_structure_must_match_layer_dims(self):
         with pytest.raises(ValueError, match="match"):
-            MlpHead((4, 13), [DenseLayer(np.zeros((13, 5)), np.zeros(13))], [], rng_seed=0)
+            head_of((4, 13), np.zeros((13, 5)), np.zeros(13))
         with pytest.raises(ValueError, match="match"):
-            MlpHead((4, 13), [DenseLayer(np.zeros((13, 4)), np.zeros(13))],
-                    [LayerNormParams(np.ones(13), np.zeros(13))], rng_seed=0)
+            head_of((4, 13), np.zeros((13, 4)), np.zeros(13), np.ones(13), np.zeros(13))
+        with pytest.raises(ValueError, match="match"):
+            MlpHead((4, 13), np.zeros((13, 5)))  # the right size, but not a flat vector
+
+    def test_a_head_is_its_widths_and_one_finite_vector(self):
+        assert [f.name for f in dataclasses.fields(MlpHead) if f.init] == ["layer_dims", "vector"]
+        head = MlpHead([4, 13], np.zeros(65))
+        assert head.layer_dims == (4, 13) and head.vector.dtype == np.float64
+        for bad in (np.inf, np.nan):
+            vector = np.zeros(65)
+            vector[7] = bad
+            with pytest.raises(ValueError, match="finite"):
+                MlpHead((4, 13), vector)
+        with pytest.raises(ValueError, match="must be 13"):
+            MlpHead((4, 12), np.zeros(60))
 
 
 class TestBackward:
@@ -366,7 +386,7 @@ class TestBackward:
         rng = SplitMix64(70)
         w = rng.normals(13 * 4).reshape(13, 4)
         b = rng.normals(13)
-        head = MlpHead((4, 13), [DenseLayer(w, b)], [], rng_seed=0)
+        head = head_of((4, 13), w, b)
         x = rng.normals(4)
         target = rng.uniforms(13, 1, 7)
         pred = head_forward(head, x)

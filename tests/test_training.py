@@ -96,6 +96,13 @@ class TestHeadConfig:
             small_config(validation_fraction=1.0)
         assert tuple(PATHWAYS) == ("visual", "language")
 
+    def test_layer_dims_follow_the_head_rules(self):
+        # The config checks its widths with the rule every head is built by.
+        with pytest.raises(ValueError, match="at least input and output"):
+            small_config(layer_dims=(13,))
+        with pytest.raises(ValueError, match="positive"):
+            small_config(layer_dims=(8, 0, 13))
+
     def test_to_dict_round_trip(self):
         cfg = small_config()
         assert HeadConfig(**cfg.to_dict()) == cfg
@@ -153,8 +160,8 @@ class TestTrainHead:
         # regardless of the hidden layers.
         emb, catalog = toy_dataset()
         trained = train_head(emb, catalog, small_config(max_epochs=0))
-        trained.head.layers[-1].weights[:] = 0.0
-        trained.head.layers[-1].bias[:] = 0.0
+        trained.head.parameters()[-2][:] = 0.0
+        trained.head.parameters()[-1][:] = 0.0
         for item in emb.items("train")[:3]:
             assert np.array_equal(predict_attributes(trained, emb, item), np.zeros(13))
 
@@ -196,7 +203,7 @@ class TestTrainHead:
         emb, catalog = toy_dataset()
         a = train_head(emb, catalog, small_config(max_epochs=5, seed=1))
         b = train_head(emb, catalog, small_config(max_epochs=5, seed=2))
-        assert not np.array_equal(a.head.layers[0].weights, b.head.layers[0].weights)
+        assert not np.array_equal(a.head.parameters()[0], b.head.parameters()[0])
 
     def test_converges_on_linear_data(self):
         emb, catalog = toy_dataset(n_tools=5, per_tool=8)
