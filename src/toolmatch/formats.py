@@ -5,12 +5,20 @@ Every reader validates strictly and rejects rather than coercing: exact
 header match, exact byte-length equation, no NaN passthrough, no column
 reordering. Checkpoints store parameters as decimal strings produced by
 ``repr`` so 64-bit values round-trip bit-exactly through JSON.
+
+A JSONL reader accepts any JSON object per line. A file whose every line is
+in the compact form the writers emit (``json.dumps`` with ``(",", ":")``
+separators, the writer's key order, a line feed after each line) is read in
+one pass: one pattern match over the whole text, then checks over whole
+columns. Any other layout, and any file that fails a check, goes through
+the per-line reader, so an error still names the file and the line.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from itertools import chain
 from pathlib import Path
@@ -33,6 +41,7 @@ from toolmatch.nn import MlpHead, validate_layer_dims
 from toolmatch.training import HeadConfig, TrainedHead
 
 CATALOG_HEADER = "tool_id,tool_name," + ",".join(ATTRIBUTE_NAMES)
+_DECIMAL = re.compile(r"[0-9]+(?:\.[0-9]+)?")  # an attribute cell, as save_catalog writes it
 
 EMBEDDING_MAGIC = b"FEMB"
 EMBEDDING_VERSION = 1
@@ -49,21 +58,53 @@ class FormatError(ValueError):
 
 
 def _read_text(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+    """The file's text with its line endings as stored; ``splitlines`` takes each kind."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
 
 
-def _jsonl_lines(path) -> Iterable[tuple[int, dict]]:
-    """Yield (line_number, parsed object) for each non-empty line."""
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+def _loads(text: str, where: str):
+    """``json.loads(text)``; any failure is a FormatError that starts with ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{where}: invalid JSON: {exc.msg}") from None
+    except ValueError as exc:  # an integer longer than the interpreter's digit limit
+        raise FormatError(f"{where}: unreadable JSON number: {exc}") from None
+
+
+def _jsonl_lines(path, text: str) -> Iterable[tuple[int, dict]]:
+    """Yield (line_number, parsed object) for each non-empty line of ``text``, read from ``path``."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: line {lineno}: invalid JSON: {exc.msg}") from None
+        obj = _loads(line, f"{path}: line {lineno}")
         if not isinstance(obj, dict):
             raise FormatError(f"{path}: line {lineno}: expected a JSON object")
         yield lineno, obj
+
+
+# One pattern per JSONL kind: a line exactly as its writer emits it. An
+# integer has no sign or leading zero; a manifest id has at most 18 digits,
+# so it always fits int64; scenario text is printable ASCII without an escape.
+_NUM = "(?:0|[1-9][0-9]*)"
+_INT, _ID = f"({_NUM})", "(0|[1-9][0-9]{0,17})"
+_MANIFEST_ROW = re.compile(r'^\{"item_id":%s,"tool_id":%s,"split":"(%s)"\}\n'
+                           % (_ID, _ID, "|".join(map(re.escape, VALID_SPLITS))), re.M)
+_SCENARIO_ROW = re.compile(r'^\{"scenario_id":%s,"tool_id":%s,"text":"([ !#-\[\]-~]*)","item_id":%s\}\n'
+                           % (_INT, _INT, _INT), re.M)
+_TRIAL_ROW = re.compile(r'^\{"trial_id":%s,"scenario_item_id":%s,"candidate_item_ids":\[(%s(?:,%s)*)\],'
+                        r'"target_position":%s\}\n' % (_INT, _INT, _NUM, _NUM, _INT), re.M)
+
+
+def _compact_rows(pattern: re.Pattern, text: str) -> list[tuple[str, ...]] | None:
+    """The groups of every line if each line of ``text`` is one ``pattern`` match, else None.
+
+    A match starts at a line start and ends at its only newline, so as many
+    matches as newlines, with one at the end of the text, cover every line.
+    """
+    rows = pattern.findall(text)
+    return rows if text.endswith("\n") and len(rows) == text.count("\n") else None
 
 
 _JSON_KINDS = {  # (one, many)
@@ -137,21 +178,22 @@ def load_catalog(path) -> ToolCatalog:
             )
         if not (fields[0].isascii() and fields[0].isdigit()):
             raise FormatError(f"{path}: row {lineno}: tool_id {fields[0]!r} is not a non-negative integer")
-        tool_id = int(fields[0])
+        try:
+            tool_id = int(fields[0])
+        except ValueError as exc:  # longer than the interpreter's digit limit
+            raise FormatError(f"{path}: row {lineno}: tool_id: {exc}") from None
         if tool_id in seen:
             raise FormatError(f"{path}: row {lineno}: duplicate tool_id {tool_id}")
         seen.add(tool_id)
         values = np.empty(NUM_ATTRIBUTES)
         for j, raw in enumerate(fields[2:]):
             col = ATTRIBUTE_NAMES[j]
-            try:
-                v = float(raw)
-            except ValueError:
+            if not _DECIMAL.fullmatch(raw):  # float() would take "0_5", " 4.0 ", "nan" and "1e0"
                 raise FormatError(
-                    f"{path}: row {lineno}, column {col!r}: value {raw!r} is not a number"
-                ) from None
-            if not np.isfinite(v):
-                raise FormatError(f"{path}: row {lineno}, column {col!r}: value must be finite")
+                    f"{path}: row {lineno}, column {col!r}: value {raw!r} is not a number "
+                    "written as digits with an optional fraction"
+                )
+            v = float(raw)  # finite unless past 1e308, which the range check rejects
             if not 1.0 <= v <= 7.0:
                 raise FormatError(
                     f"{path}: row {lineno}, column {col!r}: value {raw} outside [1, 7]"
@@ -257,14 +299,42 @@ def read_embeddings(path, manifest_path) -> EmbeddingSet:
     if int(raw["item_id"].max()) > _INT64_MAX:
         raise FormatError(f"{path}: item_id {int(raw['item_id'].max())} exceeds 2**63 - 1")
     ids = raw["item_id"].astype(np.int64)
-    row_of = dict(zip(ids.tolist(), range(count)))
-    if len(row_of) != count:
-        unique, counts = np.unique(ids, return_counts=True)
+    unique, counts = np.unique(ids, return_counts=True)
+    if len(unique) != count:
         raise FormatError(f"{path}: duplicate item_id {unique[counts > 1][0]}")
 
-    tool_ids = np.zeros(count, dtype=np.int64)
-    splits: list[str | None] = [None] * count
-    for lineno, obj in _jsonl_lines(manifest_path):
+    text = _read_text(manifest_path)
+    columns = _compact_manifest(text, ids)
+    if columns is None:
+        columns = _manifest_lines(path, manifest_path, text, ids)
+    return EmbeddingSet.from_arrays(ids, *columns, raw["vec"].astype(np.float64))
+
+
+def _compact_manifest(text: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(tool ids, split names) by file row from a compact manifest, or None.
+
+    None if a line is in another layout or an id is unknown, repeated or
+    missing; the per-line reader then names the line.
+    """
+    rows = _compact_rows(_MANIFEST_ROW, text)
+    if rows is None or len(rows) != len(ids):
+        return None
+    item_ids, tool_ids, splits = zip(*rows)
+    lines = np.array(item_ids, dtype=np.int64)
+    by_id, lines_by_id = np.argsort(ids), np.argsort(lines)
+    if not np.array_equal(ids[by_id], lines[lines_by_id]):  # the file's ids are distinct
+        return None
+    order = np.empty_like(by_id)
+    order[by_id] = lines_by_id  # file row r is described by line order[r]
+    return np.array(tool_ids, dtype=np.int64)[order], np.array(splits)[order]
+
+
+def _manifest_lines(path, manifest_path, text: str, ids: np.ndarray) -> tuple[np.ndarray, list]:
+    """(tool ids, split names) by file row, one manifest line at a time."""
+    row_of = dict(zip(ids.tolist(), range(len(ids))))
+    tool_ids = np.zeros(len(ids), dtype=np.int64)
+    splits: list[str | None] = [None] * len(ids)
+    for lineno, obj in _jsonl_lines(manifest_path, text):
         where = f"{manifest_path}: line {lineno}"
         item_id = _field(obj, "item_id", np.int64, where)
         row = row_of.get(item_id)
@@ -280,8 +350,7 @@ def read_embeddings(path, manifest_path) -> EmbeddingSet:
     if None in splits:
         missing = min(i for i, s in zip(ids.tolist(), splits) if s is None)
         raise FormatError(f"{path}: item_id {missing} missing from manifest")
-
-    return EmbeddingSet.from_arrays(ids, tool_ids, splits, raw["vec"].astype(np.float64))
+    return tool_ids, splits
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +369,14 @@ def write_scenarios(scenarios: Sequence[ScenarioRecord], path) -> None:
 
 
 def read_scenarios(path, catalog: ToolCatalog | None = None) -> list[ScenarioRecord]:
+    text = _read_text(path)
+    compact = _compact_scenarios(text, catalog)
+    if compact is not None:
+        return compact
     scenarios: list[ScenarioRecord] = []
     seen_ids: set[int] = set()
     seen_items: set[int] = set()
-    for lineno, obj in _jsonl_lines(path):
+    for lineno, obj in _jsonl_lines(path, text):
         where = f"{path}: line {lineno}"
         sid = _field(obj, "scenario_id", int, where)
         item_id = _field(obj, "item_id", int, where)
@@ -324,6 +397,22 @@ def read_scenarios(path, catalog: ToolCatalog | None = None) -> list[ScenarioRec
     return scenarios
 
 
+def _compact_scenarios(text: str, catalog: ToolCatalog | None) -> list[ScenarioRecord] | None:
+    """The scenarios of a compact file that passes every check, else None."""
+    rows = _compact_rows(_SCENARIO_ROW, text)
+    if rows is None:
+        return None
+    scenario_ids, tool_ids, texts, item_ids = zip(*rows)
+    try:
+        scenario_ids, tool_ids, item_ids = (list(map(int, c)) for c in (scenario_ids, tool_ids, item_ids))
+    except ValueError:  # an integer longer than the interpreter's digit limit
+        return None
+    if (len(set(scenario_ids)) != len(rows) or len(set(item_ids)) != len(rows)
+            or (catalog is not None and not set(tool_ids) <= set(catalog.tool_ids()))):
+        return None
+    return list(map(ScenarioRecord, scenario_ids, tool_ids, texts, item_ids))
+
+
 def write_trials(trials: Sequence[MatchingTrial], path) -> None:
     lines = [
         json.dumps(
@@ -341,9 +430,13 @@ def write_trials(trials: Sequence[MatchingTrial], path) -> None:
 
 
 def read_trials(path) -> list[MatchingTrial]:
+    text = _read_text(path)
+    compact = _compact_trials(text)
+    if compact is not None:
+        return compact
     trials: list[MatchingTrial] = []
     seen: set[int] = set()
-    for lineno, obj in _jsonl_lines(path):
+    for lineno, obj in _jsonl_lines(path, text):
         where = f"{path}: line {lineno}"
         trial_id = _field(obj, "trial_id", int, where)
         if trial_id in seen:
@@ -357,6 +450,18 @@ def read_trials(path) -> list[MatchingTrial]:
         except ValueError as exc:
             raise FormatError(f"{where}: {exc}") from None
     return trials
+
+
+def _compact_trials(text: str) -> list[MatchingTrial] | None:
+    """The trials of a compact file that passes every check, else None."""
+    rows = _compact_rows(_TRIAL_ROW, text)
+    if rows is None:
+        return None
+    try:
+        trials = [MatchingTrial(int(t), int(s), tuple(map(int, c.split(","))), int(p)) for t, s, c, p in rows]
+    except ValueError:  # an invalid trial, or an integer past the interpreter's digit limit
+        return None
+    return trials if len({t.trial_id for t in trials}) == len(trials) else None
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +511,7 @@ _CONFIG_FIELDS = {
 def load_checkpoint(path) -> TrainedHead:
     """Rebuild a TrainedHead from a checkpoint (the training log is not persisted)."""
     where = str(path)
-    try:
-        doc = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc.msg}") from None
+    doc = _loads(_read_text(path), where)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: expected a JSON object")
     version = _field(doc, "format_version", int, where)

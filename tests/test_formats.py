@@ -108,6 +108,28 @@ class TestCatalogCsv:
         with pytest.raises(FormatError, match=re.escape(f"{path}: row 3: tool_id {raw!r}")):
             load_catalog(path)
 
+    def test_tool_id_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(CATALOG_HEADER + "\n" + ",".join(["1" * 5000, "awl"] + ["4.0"] * 13) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: row 2: tool_id: ") + ".*digits"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("raw", ["0_5", " 4.0 ", "4_0", "+4", "4.", ".5", "4e0", "nan", "inf", "\uff14"])
+    def test_attribute_must_be_a_plain_decimal(self, tmp_path, raw):
+        # float() would take "0_5" as 5.0 and " 4.0 " as 4.0.
+        path = tmp_path / "bad.csv"
+        row = ["0", "awl"] + ["4.0"] * 13
+        row[2 + 3] = raw  # smoothness
+        path.write_text(CATALOG_HEADER + "\n" + ",".join(row) + "\n")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: row 2, column 'smoothness': value {raw!r}")):
+            load_catalog(path)
+
+    @pytest.mark.parametrize("raw, value", [("4", 4.0), ("4.0", 4.0), ("3.25", 3.25), ("006.50", 6.5)])
+    def test_attribute_decimal_forms_load(self, tmp_path, raw, value):
+        path = tmp_path / "ok.csv"
+        path.write_text(CATALOG_HEADER + "\n" + ",".join(["0", "awl", raw] + ["4.0"] * 12) + "\n")
+        assert load_catalog(path).attributes_of(0)[0] == value
+
     def test_ids_must_ascend(self, tmp_path):
         path = tmp_path / "bad.csv"
         rows = [

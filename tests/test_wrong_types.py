@@ -6,6 +6,7 @@ file and the field, and the CLI must exit 1 with its JSON error object.
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -210,3 +211,28 @@ def test_cli_exits_one_with_json_error(kind, files, tmp_path, capsys):
         if error["type"] != "FormatError" or f"field {field!r}" not in error["message"]:
             failures.append(f"{text[:80]}: {error}")
     assert cases and not failures, "\n".join(failures)
+
+
+TOO_LONG = "1" * 5000  # digits, past the interpreter's default limit of 4 300 for int <-> str
+
+
+def test_checkpoint_integer_past_the_digit_limit_names_file(files, tmp_path, capsys):
+    path = tmp_path / "head.json"
+    path.write_text(files["head.json"].read_text().replace('"epochs_run": 3', f'"epochs_run": {TOO_LONG}'))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: .*digits"):
+        load_checkpoint(path)
+    error = cli_error(capsys, ["eval-attr", "--checkpoint", path, "--embeddings", files["e.femb"],
+                               "--manifest", files["m.jsonl"], "--catalog", tmp_path / "missing.csv"])
+    assert error["type"] == "FormatError" and error["message"].startswith(f"{path}: ")
+
+
+def test_trial_integer_past_the_digit_limit_names_file_and_line(files, tmp_path, capsys):
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(TRIAL_LINE) + "\n" + json.dumps(TRIAL_LINE).replace(": 0,", f": {TOO_LONG},", 1) + "\n")
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 2: .*digits"):
+        read_trials(path)
+    emb = ["--visual", files["e.femb"], "--visual-manifest", files["m.jsonl"]]
+    error = cli_error(capsys, ["match", "--visual-checkpoint", files["head.json"], "--language-checkpoint",
+                               files["head.json"], *emb, "--scenarios", files["e.femb"], "--scenario-manifest",
+                               files["m.jsonl"], "--trials", path])
+    assert error["type"] == "FormatError" and error["message"].startswith(f"{path}: line 2: ")
