@@ -18,6 +18,7 @@ from typing import Sequence
 
 from toolmatch.domain import canonical_attribute_order
 from toolmatch.evaluation import (
+    MatchingBatch,
     ablation_sweep,
     attribute_wise_accuracy,
     matching_accuracy,
@@ -35,7 +36,8 @@ from toolmatch.nn import gradcheck, head_forward, init_head
 from toolmatch.rng import SplitMix64
 from toolmatch.similarity import AblationMask
 from toolmatch.synthetic import SCENARIO_PRESETS, SyntheticSpec, generate, write_dataset
-from toolmatch.training import HeadConfig, PATHWAYS, TrainingDivergedError, predict_items, predictor, train_head
+from toolmatch.training import HeadConfig, PATHWAYS, TrainingDivergedError, predict_each, predict_items, train_head
+from toolmatch.training import predictor  # noqa: F401  patched here by toolbench/tracing.py
 
 # Flag value -> internal metric name.
 METRIC_FLAGS = {"cosine": "cosine", "euclid": "negative_euclidean"}
@@ -279,15 +281,17 @@ def _evaluator(args):
             scenario_manifest=args.scenario_manifest,
             trials=args.trials,
         )
-        predict_scenario = predictor(language_head, scenario_embeddings)
-        predict_candidate = predictor(visual_head, visual)
+        # Each distinct item is predicted once, and the trials are gathered
+        # once; every mask scores the same batch.
+        scenario_ids = sorted({t.scenario_item_id for t in trials})
+        candidate_ids = sorted({c for t in trials for c in t.candidate_item_ids})
+        scenario_rows = dict(zip(scenario_ids, predict_each(language_head, scenario_embeddings, scenario_ids)))
+        candidate_rows = dict(zip(candidate_ids, predict_each(visual_head, visual, candidate_ids)))
+        batch = MatchingBatch.gather(trials, scenario_rows.__getitem__, candidate_rows.__getitem__, args.clamp)
 
         def evaluate(mask):
-            return matching_accuracy(
-                trials, predict_scenario, predict_candidate,
-                metric=METRIC_FLAGS[args.metric], mask=mask, clamp=args.clamp,
-                collect_rankings=args.command == "match",
-            )
+            return matching_accuracy(batch, metric=METRIC_FLAGS[args.metric], mask=mask,
+                                     collect_rankings=args.command == "match")
 
         heads = {"visual": visual_head.config.to_dict(), "language": language_head.config.to_dict()}
         return evaluate, {"metric": args.metric, "clamp": args.clamp, "heads": heads}, inputs

@@ -166,13 +166,50 @@ def _gather(predict: PredictFn, ids: np.ndarray, clamp: bool) -> np.ndarray:
     return table[inverse.reshape(ids.shape)]
 
 
+@dataclass(frozen=True)
+class MatchingBatch:
+    """Trials with their predictions gathered: everything
+    :func:`matching_accuracy` scores that no mask changes, built once for all
+    the masks of a sweep.
+
+    ``queries`` is (trials, 13), the scenario predictions; ``candidates`` is
+    (trials, m, 13), each trial's candidate predictions in its order, and
+    ``candidate_ids`` the (trials, m) ids they belong to.
+    """
+
+    trials: Sequence[MatchingTrial]
+    candidate_ids: np.ndarray
+    targets: np.ndarray
+    queries: np.ndarray
+    candidates: np.ndarray
+    clamp: bool
+
+    @classmethod
+    def gather(
+        cls,
+        trials: Sequence[MatchingTrial],
+        predict_scenario: PredictFn,
+        predict_candidate: PredictFn,
+        clamp: bool = False,
+    ) -> "MatchingBatch":
+        """Fetch each distinct scenario and candidate prediction once, clamped to [1, 7] if ``clamp``."""
+        if not trials:
+            raise ValueError("need at least one trial")
+        candidate_ids = np.array([t.candidate_item_ids for t in trials])
+        return cls(
+            trials=trials,
+            candidate_ids=candidate_ids,
+            targets=np.array([t.target_item_id for t in trials]),
+            queries=_gather(predict_scenario, np.array([t.scenario_item_id for t in trials]), clamp),
+            candidates=_gather(predict_candidate, candidate_ids, clamp),
+            clamp=clamp,
+        )
+
+
 def matching_accuracy(
-    trials: Sequence[MatchingTrial],
-    predict_scenario: PredictFn,
-    predict_candidate: PredictFn,
+    batch: MatchingBatch,
     metric: str = "cosine",
     mask: AblationMask | None = None,
-    clamp: bool = False,
     collect_rankings: bool = False,
 ) -> EvaluationReport:
     """Fraction of trials where the similarity argmax over the 10 candidates
@@ -183,20 +220,15 @@ def matching_accuracy(
     over a (trials, 10) score matrix. Trials whose scoring fails are counted
     incorrect and flagged, keeping the denominator stable.
     """
-    if not trials:
-        raise ValueError("need at least one trial")
-    candidate_ids = np.array([t.candidate_item_ids for t in trials])
-    targets = np.array([t.target_item_id for t in trials])
-    queries = _gather(predict_scenario, np.array([t.scenario_item_id for t in trials]), clamp)
-    candidates = _gather(predict_candidate, candidate_ids, clamp)
-    scores, spoiled = score_batch(queries, candidates, metric=metric, mask=mask)
+    trials, candidate_ids = batch.trials, batch.candidate_ids
+    scores, spoiled = score_batch(batch.queries, batch.candidates, metric=metric, mask=mask)
     scored = spoiled < 0
-    hits = scored & (best_ids(scores, candidate_ids) == targets)
+    hits = scored & (best_ids(scores, candidate_ids) == batch.targets)
     report = EvaluationReport(
         metric_name="matching_accuracy",
         numerator=int(hits.sum()),
         denominator=len(trials),
-        config={"metric": metric, "mask": sorted(mask.removed) if mask else [], "clamp": clamp},
+        config={"metric": metric, "mask": sorted(mask.removed) if mask else [], "clamp": batch.clamp},
     )
     if not scored.all():
         report.details["failed_trials"] = [trials[i].trial_id for i in np.flatnonzero(~scored)]

@@ -14,8 +14,11 @@ and checkpoints list the arrays in the same order.
 
 One cached forward pass, ``_forward``, runs the layer stack over a batch: the
 prediction path keeps only its output, backprop and ``gradcheck`` read its
-per-layer caches. Gradients come back as one fresh vector in the head's
-layout, and Adam steps that vector in place with moments of the same length.
+per-layer caches. Every product and reduction in it works on the last axis,
+so it also runs over a stack of batches; an (n, 1, d) stack of rows gives
+each row the bits it gets alone. Gradients come back as one fresh vector in
+the head's layout, and Adam steps that vector in place with moments of the
+same length.
 """
 
 from __future__ import annotations
@@ -113,9 +116,9 @@ def init_head(layer_dims, seed: int) -> MlpHead:
 
 
 def _layer_norm_batch(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """Batched layer norm. Returns (xhat, inv_std, y) with shapes (B,H),(B,1),(B,H)."""
-    mean = z.mean(axis=1, keepdims=True)
-    var = z.var(axis=1, keepdims=True)
+    """Layer norm over the last axis. Returns (xhat, inv_std, y) with shapes (..., H), (..., 1), (..., H)."""
+    mean = z.mean(axis=-1, keepdims=True)
+    var = z.var(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
     xhat = (z - mean) * inv_std
     return xhat, inv_std, gamma * xhat + beta
@@ -137,10 +140,16 @@ def _as_batch(x: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
 def head_forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
     """Forward pass: (linear -> layer norm -> ReLU) per hidden layer, final linear.
 
-    Accepts a single vector or a (batch, input_dim) matrix; output has 13
-    columns. Raises if any intermediate goes non-finite (divergence signal).
+    Accepts a single vector, a (batch, input_dim) matrix or a stack of such
+    matrices; output has 13 columns. Raises if any intermediate goes
+    non-finite (divergence signal).
     """
-    batch, squeeze = _as_batch(x, head.layer_dims[0])
+    if np.ndim(x) == 3:  # a stack of batches
+        batch, squeeze = np.asarray(x, dtype=np.float64), False
+        if batch.shape[2] != head.layer_dims[0]:
+            raise ValueError(f"input dimension {batch.shape[2]} does not match head input {head.layer_dims[0]}")
+    else:
+        batch, squeeze = _as_batch(x, head.layer_dims[0])
     out = _forward(head, batch)[0]
     if not np.isfinite(out).all():
         raise FloatingPointError("non-finite value in forward pass (diverged parameters?)")
@@ -148,7 +157,7 @@ def head_forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
 
 
 def _forward(head: MlpHead, x: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Forward over a (B, d) batch. Returns ``(out, inputs, hidden)``:
+    """Forward over a (B, d) batch, or a stack of them. Returns ``(out, inputs, hidden)``:
     ``inputs[k]`` enters linear layer k (the final one included) and
     ``hidden[k]`` is hidden layer k's ``(z, xhat, inv_std, y)``, its linear
     output and its layer norm's normalized input, inverse deviation and output.

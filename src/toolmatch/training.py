@@ -244,6 +244,16 @@ def predict_items(trained: TrainedHead, embeddings: EmbeddingSet, item_ids: Sequ
     return head_forward(trained.head, embeddings.matrix(item_ids))
 
 
+def predict_each(trained: TrainedHead, embeddings: EmbeddingSet, item_ids: Sequence[int]) -> np.ndarray:
+    """One row per requested item, each equal to its ``predict_attributes`` to the bit.
+
+    The rows go through one forward pass as an (n, 1, d) stack, so each is
+    multiplied as the single vector it would be on its own; a (n, d) batch
+    rounds differently.
+    """
+    return head_forward(trained.head, embeddings.matrix(item_ids)[:, None, :])[:, 0]
+
+
 def predictor(trained: TrainedHead, embeddings: EmbeddingSet):
     """item_id -> prediction callable with a per-item cache (for trial evaluation)."""
     cache: dict[int, np.ndarray] = {}

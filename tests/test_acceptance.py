@@ -22,6 +22,7 @@ from toolmatch.domain import (
     ToolRecord,
 )
 from toolmatch.evaluation import (
+    MatchingBatch,
     attribute_wise_accuracy,
     matching_accuracy,
     most_similar_class_accuracy,
@@ -151,9 +152,7 @@ def test_criterion_3_end_to_end_matching():
         "language", ds.scenario_embeddings.dim, batch_size=4, max_epochs=30,
     ))
     report = matching_accuracy(
-        ds.trials,
-        predictor(language, ds.scenario_embeddings),
-        predictor(visual, ds.visual),
+        MatchingBatch.gather(ds.trials, predictor(language, ds.scenario_embeddings), predictor(visual, ds.visual)),
         metric="cosine",
     )
     slot0 = sum(1 for t in ds.trials if t.target_position == 0) / len(ds.trials)
@@ -289,13 +288,12 @@ def test_criterion_5_ablation_discriminability():
     trial's selection is verified against a brute-force oracle."""
     catalog, trials, preds = build_graspability_pair(seed=2)
     lookup = lambda iid: preds[iid]
+    batch = MatchingBatch.gather(trials, lookup, lookup)
     values = {}
     oracle_mismatches = 0
     for removed in [None] + list(range(NUM_ATTRIBUTES)):
         mask = None if removed is None else AblationMask([removed])
-        report = matching_accuracy(
-            trials, lookup, lookup, metric="cosine", mask=mask, collect_rankings=True
-        )
+        report = matching_accuracy(batch, metric="cosine", mask=mask, collect_rankings=True)
         values[removed] = report.value
         mask_index = -1 if removed is None else removed
         for row in report.details["per_trial"]:
@@ -408,7 +406,7 @@ def test_criterion_6_metric_oracles():
                 target_pos = rng.randint(10)
                 scenario = cand[target_pos]  # query an existing item's prediction
                 trials.append(MatchingTrial(trial_id, scenario, tuple(cand), target_pos))
-            got = matching_accuracy(trials, preds.__getitem__, preds.__getitem__)
+            got = matching_accuracy(MatchingBatch.gather(trials, preds.__getitem__, preds.__getitem__))
             want = oracle_matching(trials, preds)
             if (got.numerator, got.denominator) != want:
                 mismatches.append((fixture_seed, "matching", (got.numerator, got.denominator), want))

@@ -9,6 +9,7 @@ import pytest
 from toolmatch.domain import ATTRIBUTE_NAMES, NUM_ATTRIBUTES, MatchingTrial, ToolCatalog, ToolRecord
 from toolmatch.evaluation import (
     EvaluationReport,
+    MatchingBatch,
     ablation_sweep,
     attribute_wise_accuracy,
     clamp_vector,
@@ -18,6 +19,11 @@ from toolmatch.evaluation import (
 )
 from toolmatch.rng import SplitMix64
 from toolmatch.similarity import AblationMask, SimilarityError, rank_candidates, select_tool
+
+
+def match(trials, predict_scenario, predict_candidate, clamp=False, **kwargs):
+    """``matching_accuracy`` over the trials gathered through the two lookups."""
+    return matching_accuracy(MatchingBatch.gather(trials, predict_scenario, predict_candidate, clamp), **kwargs)
 
 
 ROUNDING_CASES = [
@@ -218,12 +224,12 @@ class TestMatching:
 
     def test_correct_trial(self):
         trial = make_trial(0, 100, range(10), 0)
-        report = matching_accuracy([trial], self.lookup, self.lookup)
+        report = match([trial], self.lookup, self.lookup)
         assert (report.numerator, report.denominator) == (1, 1)
 
     def test_wrong_target_position(self):
         trial = make_trial(0, 100, range(10), 3)
-        report = matching_accuracy([trial], self.lookup, self.lookup)
+        report = match([trial], self.lookup, self.lookup)
         assert (report.numerator, report.denominator) == (0, 1)
 
     def test_mixed_batch_fraction(self):
@@ -233,12 +239,12 @@ class TestMatching:
             make_trial(2, 100, range(10), 5),
             make_trial(3, 100, range(10), 9),
         ]
-        report = matching_accuracy(trials, self.lookup, self.lookup)
+        report = match(trials, self.lookup, self.lookup)
         assert report.value == 0.5
 
     def test_euclidean_metric_path(self):
         trial = make_trial(0, 100, range(10), 0)
-        report = matching_accuracy([trial], self.lookup, self.lookup, metric="negative_euclidean")
+        report = match([trial], self.lookup, self.lookup, metric="negative_euclidean")
         assert report.value == 1.0
         assert report.config["metric"] == "negative_euclidean"
 
@@ -251,14 +257,14 @@ class TestMatching:
             vectors[i] = v
         lookup = lambda iid: vectors[iid]
         trials = [make_trial(7, 100, range(10), 0), make_trial(8, 100, [0] + list(range(10, 19)), 0)]
-        report = matching_accuracy(trials, lookup, lookup)
+        report = match(trials, lookup, lookup)
         assert report.denominator == 2
         assert report.details["failed_trials"] == [7]
         assert report.numerator == 1  # the second trial still scores
 
     def test_collect_rankings_structure(self):
         trial = make_trial(5, 100, range(10), 0)
-        report = matching_accuracy([trial], self.lookup, self.lookup, collect_rankings=True)
+        report = match([trial], self.lookup, self.lookup, collect_rankings=True)
         rows = report.details["per_trial"]
         assert len(rows) == 1
         row = rows[0]
@@ -284,8 +290,8 @@ class TestMatching:
             vectors[i] = np.full(13, 1.0)
         lookup = lambda iid: vectors[iid]
         trial = make_trial(0, 100, range(10), 0)
-        unmasked = matching_accuracy([trial], lookup, lookup, metric="negative_euclidean")
-        masked = matching_accuracy(
+        unmasked = match([trial], lookup, lookup, metric="negative_euclidean")
+        masked = match(
             [trial], lookup, lookup, metric="negative_euclidean", mask=AblationMask([0])
         )
         assert unmasked.value == 1.0
@@ -293,7 +299,7 @@ class TestMatching:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            matching_accuracy([], self.lookup, self.lookup)
+            match([], self.lookup, self.lookup)
 
 
 ALL_MASKS = [None] + [AblationMask([i]) for i in range(NUM_ATTRIBUTES)]
@@ -363,14 +369,14 @@ class TestBatchedEquivalence:
         failed_by_mask, numerators = [], set()
         for mask in ALL_MASKS:
             rows, failed = self.reference_matching(metric, mask, clamp)
-            report = matching_accuracy(self.trials, self.lookup, self.lookup, metric=metric,
+            report = match(self.trials, self.lookup, self.lookup, metric=metric,
                                        mask=mask, clamp=clamp, collect_rankings=True)
             # JSON text compares every float by its exact repr.
             assert json.dumps(report.details["per_trial"]) == json.dumps(rows)
             assert report.details.get("failed_trials", []) == failed
             assert report.numerator == sum(r["correct"] for r in rows)
             assert report.denominator == len(self.trials)
-            plain = matching_accuracy(self.trials, self.lookup, self.lookup, metric=metric, mask=mask, clamp=clamp)
+            plain = match(self.trials, self.lookup, self.lookup, metric=metric, mask=mask, clamp=clamp)
             assert (plain.numerator, plain.details.get("failed_trials", [])) == (report.numerator, failed)
             failed_by_mask.append(failed)
             numerators.add(report.numerator)
@@ -384,9 +390,24 @@ class TestBatchedEquivalence:
         else:
             assert not any(failed_by_mask)
 
+    @pytest.mark.parametrize("clamp", [False, True])
+    @pytest.mark.parametrize("metric", ["cosine", "negative_euclidean"])
+    def test_one_batch_serves_every_mask(self, metric, clamp):
+        """A sweep gathers once; scoring one batch under each mask gives the
+        report a fresh gather does, and leaves the batch as it was."""
+        batch = MatchingBatch.gather(self.trials, self.lookup, self.lookup, clamp)
+        kept = [batch.queries.copy(), batch.candidates.copy()]
+        for mask in ALL_MASKS:
+            shared = matching_accuracy(batch, metric=metric, mask=mask, collect_rankings=True)
+            fresh = match(self.trials, self.lookup, self.lookup, clamp, metric=metric, mask=mask,
+                          collect_rankings=True)
+            assert json.dumps(shared.to_dict()) == json.dumps(fresh.to_dict())
+        assert batch.queries.tobytes() == kept[0].tobytes()
+        assert batch.candidates.tobytes() == kept[1].tobytes()
+
     def test_duplicates_resolve_to_lower_id(self):
         for trial in self.trials[:2]:
-            report = matching_accuracy([trial], self.lookup, self.lookup, collect_rankings=True)
+            report = match([trial], self.lookup, self.lookup, collect_rankings=True)
             ranking = report.details["per_trial"][0]["ranking"]
             low, high = (3, 7) if trial.trial_id == 0 else (12, 40)
             ids = [iid for iid, _ in ranking]

@@ -230,6 +230,18 @@ class TestForward:
         with pytest.raises(ValueError, match="dimension"):
             head_forward(head, np.zeros(5))
 
+    def test_stack_of_rows_matches_each_row_alone(self):
+        head = init_head([4, 8, 13], seed=2)
+        xs = SplitMix64(62).normals(20).reshape(5, 4)
+        out = head_forward(head, xs[:, None, :])
+        assert out.shape == (5, 1, 13)
+        for i in range(5):
+            assert out[i, 0].tobytes() == head_forward(head, xs[i]).tobytes()
+        with pytest.raises(ValueError, match="input dimension 5 does not match head input 4"):
+            head_forward(head, np.zeros((2, 1, 5)))
+        with pytest.raises(ValueError, match="input must be 1-D or 2-D"):
+            head_forward(head, np.zeros((2, 1, 1, 4)))
+
     def test_non_finite_signals_divergence(self):
         # Varied first-layer rows keep hidden activations non-constant so the
         # layer norm cannot cancel them before the huge final weights overflow.

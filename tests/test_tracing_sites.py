@@ -54,3 +54,47 @@ def test_training_counts_reach_the_tracer(monkeypatch):
     # One validation forward per epoch, over the 4 held-out rows.
     assert totals["nn.head_forward.calls"] == 1
     assert totals["nn.head_forward.rows"] == 4
+
+
+def test_matching_ablation_reaches_the_tracer(monkeypatch, tmp_path):
+    """``ablate --which matching`` loads both checkpoints through the patched
+    ``load_checkpoint`` and predicts each distinct scenario and candidate once
+    through the patched ``head_forward``, so the benchmark's per-layer view
+    still sees that work."""
+    monkeypatch.syspath_prepend(str(TOOLBENCH))
+    import tracing
+    from toolmatch import cli
+    from toolmatch.formats import read_trials, save_checkpoint
+    from toolmatch.nn import init_head
+    from toolmatch.training import HeadConfig, TrainedHead
+
+    data = tmp_path / "data"
+    assert cli.main(["gen-synth", "--tools", "12", "--preset", "small", "--images", "3,2", "--dv", "16",
+                     "--dl", "16", "--seed", "3", "--out", str(data)]) == 0
+    for pathway in ("visual", "language"):
+        config = HeadConfig.for_pathway(pathway, 16, hidden_dims=(16,))
+        save_checkpoint(TrainedHead(head=init_head(config.layer_dims, 1), config=config,
+                                    best_validation_mse=0.5, epochs_run=1), tmp_path / f"{pathway}.json")
+    trials = read_trials(data / "trials.jsonl")
+    distinct = len({t.scenario_item_id for t in trials}) + len({c for t in trials for c in t.candidate_item_ids})
+
+    tracer = tracing.Tracer()
+    tracing.install_layer_spans(tracer)
+    tracer.install()
+    try:
+        code = cli.main([
+            "ablate", "--which", "matching",
+            "--visual-checkpoint", str(tmp_path / "visual.json"),
+            "--language-checkpoint", str(tmp_path / "language.json"),
+            "--visual", str(data / "visual.femb"), "--visual-manifest", str(data / "visual_manifest.jsonl"),
+            "--scenarios", str(data / "scenarios.femb"),
+            "--scenario-manifest", str(data / "scenarios_manifest.jsonl"),
+            "--trials", str(data / "trials.jsonl"), "--out", str(tmp_path / "report.json"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    totals = tracer.totals(rounds=1)
+    assert totals["formats.load_checkpoint.calls"] == 2 and totals["formats.load_checkpoint.s"] > 0
+    assert totals["nn.head_forward.calls"] == 2  # one stacked pass per head
+    assert totals["nn.head_forward.rows"] == distinct

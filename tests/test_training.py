@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 
 from toolmatch.domain import EmbeddingRecord, EmbeddingSet, ToolCatalog, ToolRecord
-from toolmatch.nn import head_forward
+from toolmatch.nn import head_forward, init_head
 from toolmatch.rng import SplitMix64
 from toolmatch.training import (
     HeadConfig,
     PATHWAYS,
+    TrainedHead,
     TrainingDivergedError,
     predict_attributes,
+    predict_each,
     predict_items,
     predictor,
     split_validation,
@@ -304,3 +306,39 @@ class TestPrediction:
         trained = train_head(emb, catalog, small_config(max_epochs=0))
         out = predict_items(trained, emb, [])
         assert out.shape == (0, 13)
+
+
+def random_head(dims, n, seed=5):
+    """An initialized head and an n-item embedding set of matching width."""
+    config = HeadConfig(pathway="visual", layer_dims=dims, learning_rate=1e-3, batch_size=4, max_epochs=1)
+    trained = TrainedHead(head=init_head(dims, seed), config=config, best_validation_mse=0.0, epochs_run=1)
+    ids = 1000 + 3 * np.arange(n)
+    vectors = SplitMix64(seed + 1).normals(n * dims[0]).reshape(n, dims[0])
+    return trained, EmbeddingSet.from_arrays(ids, np.zeros(n, dtype=np.int64), ["test"] * n, vectors)
+
+
+class TestPredictEach:
+    @pytest.mark.parametrize("dims", [(768, 256, 64, 13), (32, 256, 128, 64, 13)])
+    @pytest.mark.parametrize("n", [1, 37, 690])
+    def test_rows_equal_batch_one_predictions_to_the_bit(self, dims, n):
+        trained, emb = random_head(dims, n)
+        ids = emb.items()[::-1]  # any order: row i is item ids[i]
+        rows = predict_each(trained, emb, ids)
+        single = np.stack([predict_attributes(trained, emb, i) for i in ids])
+        assert rows.shape == (n, 13)
+        assert rows.tobytes() == single.tobytes()
+
+    def test_empty(self):
+        trained, emb = random_head((8, 16, 13), 3)
+        assert predict_each(trained, emb, []).shape == (0, 13)
+
+    def test_non_finite_output_raises(self):
+        trained, emb = random_head((8, 16, 13), 5)
+        trained.head.parameters()[-2][:] = 1e308  # output weights: finite, but the products overflow
+        with pytest.raises(FloatingPointError, match="non-finite value in forward pass"), np.errstate(over="ignore"):
+            predict_each(trained, emb, emb.items())
+
+    def test_unknown_item_is_key_error(self):
+        trained, emb = random_head((8, 16, 13), 5)
+        with pytest.raises(KeyError, match="item_id 7 not in embedding set"):
+            predict_each(trained, emb, [1000, 7])

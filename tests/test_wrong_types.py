@@ -14,7 +14,9 @@ import pytest
 from toolmatch.cli import main
 from toolmatch.domain import EmbeddingRecord
 from toolmatch.formats import (
+    CATALOG_HEADER,
     FormatError,
+    load_catalog,
     load_checkpoint,
     read_embeddings,
     read_scenarios,
@@ -236,3 +238,86 @@ def test_trial_integer_past_the_digit_limit_names_file_and_line(files, tmp_path,
                                files["head.json"], *emb, "--scenarios", files["e.femb"], "--scenario-manifest",
                                files["m.jsonl"], "--trials", path])
     assert error["type"] == "FormatError" and error["message"].startswith(f"{path}: line 2: ")
+
+
+# Strings that float() reads as numbers but repr never writes: an underscore
+# between digits, whitespace around the number, a non-ASCII digit.
+COERCED = ["1_5", " 0.25 ", "0.5\n", "١"]
+
+
+@pytest.mark.parametrize("value", COERCED)
+def test_checkpoint_parameter_float_would_coerce(files, tmp_path, capsys, value):
+    float(value)  # accepted by float(), so only the checkpoint's own check can reject it
+    doc = json.loads(files["head.json"].read_text())
+    doc["parameters"][1]["bias"][0] = value
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps(doc))
+    message = f"{path}: layer 1: field 'bias' must hold decimal strings only"
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+        load_checkpoint(path)
+    error = cli_error(capsys, ["eval-attr", "--checkpoint", path, "--embeddings", files["e.femb"],
+                               "--manifest", files["m.jsonl"], "--catalog", tmp_path / "missing.csv"])
+    assert error == {"type": "FormatError", "module": "toolmatch.formats", "message": message}
+
+
+def test_checkpoint_best_mse_float_would_coerce(files, tmp_path):
+    doc = json.loads(files["head.json"].read_text())
+    path = tmp_path / "head.json"
+    for value in COERCED:
+        path.write_text(json.dumps({**doc, "best_validation_mse": value}))
+        with pytest.raises(FormatError, match="best_validation_mse is not a decimal string"):
+            load_checkpoint(path)
+
+
+def test_checkpoint_parameter_every_repr_form_loads(files, tmp_path):
+    """Each form repr writes for a finite float still loads, to the bit."""
+    forms = ["0.0", "-0.0", "1.5", "-2.25e-05", "1e+16", "5e-324", "1.7976931348623157e+308", "123456789.0"]
+    doc = json.loads(files["head.json"].read_text())
+    doc["parameters"][1]["bias"][:len(forms)] = forms
+    path = tmp_path / "head.json"
+    path.write_text(json.dumps(doc))
+    bias = load_checkpoint(path).head.parameters()[-1]
+    assert bias[:len(forms)].tobytes() == np.array([float(f) for f in forms]).tobytes()
+
+
+NOT_UTF8 = b"\xff"
+
+
+@pytest.mark.parametrize("kind", ["trials", "scenarios", "manifest", "catalog", "checkpoint"])
+def test_file_that_is_not_utf8_names_file_and_line(kind, files, tmp_path):
+    path = tmp_path / kind
+    if kind == "checkpoint":
+        text = files["head.json"].read_bytes()
+        data = text.replace(b'"epochs_run": 3', b'"epochs_run": 3' + NOT_UTF8)
+        line = text[:text.index(b'"epochs_run"')].count(b"\n") + 1
+    else:
+        line_of = {"trials": TRIAL_LINE, "scenarios": SCENARIO_LINE, "manifest": MANIFEST_LINE}
+        first = (json.dumps(line_of[kind]) if kind != "catalog" else CATALOG_HEADER).encode()
+        data, line = first + b"\n" + NOT_UTF8 + b"\n", 2
+    path.write_bytes(data)
+    read = {
+        "trials": lambda: read_trials(path),
+        "scenarios": lambda: read_scenarios(path),
+        "manifest": lambda: read_embeddings(files["e.femb"], path),
+        "catalog": lambda: load_catalog(path),
+        "checkpoint": lambda: load_checkpoint(path),
+    }[kind]
+    with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line {line}: not UTF-8 text: byte 0xff"):
+        read()
+
+
+@pytest.mark.parametrize("kind", ["trials", "checkpoint"])
+def test_cli_names_the_file_that_is_not_utf8(kind, files, tmp_path, capsys):
+    path = tmp_path / kind
+    emb = ["--visual", files["e.femb"], "--visual-manifest", files["m.jsonl"],
+           "--scenarios", files["e.femb"], "--scenario-manifest", files["m.jsonl"]]
+    if kind == "trials":
+        path.write_bytes(json.dumps(TRIAL_LINE).encode() + b"\n" + NOT_UTF8 + b"\n")
+        checkpoint, trials, line = files["head.json"], path, 2
+    else:
+        path.write_bytes(NOT_UTF8 + files["head.json"].read_bytes())
+        checkpoint, trials, line = path, files["t.jsonl"], 1  # the checkpoint fails before trials are read
+    error = cli_error(capsys, ["match", "--visual-checkpoint", checkpoint, "--language-checkpoint", checkpoint,
+                               *emb, "--trials", trials])
+    assert error["type"] == "FormatError"
+    assert error["message"].startswith(f"{path}: line {line}: not UTF-8 text: byte 0xff")
