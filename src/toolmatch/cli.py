@@ -363,6 +363,8 @@ def _cmd_ablate(args) -> tuple[dict, int]:
 def _cmd_gradcheck(args) -> tuple[dict, int]:
     if args.batch < 1:
         raise ValueError("--batch must be at least 1")
+    if not 0 < args.tol < math.inf:  # inf would pass any error, nan and 0 or less fail every one
+        raise ValueError(f"--tol must be a positive finite number, got {args.tol}")
     master = SplitMix64(args.seed)
     head_seed, data_seed = master.child_seeds(2)
     head = init_head(args.dims, head_seed)

@@ -6,12 +6,12 @@ header match, exact byte-length equation, no NaN passthrough, no column
 reordering. Checkpoints store parameters as decimal strings produced by
 ``repr`` so 64-bit values round-trip bit-exactly through JSON.
 
-A JSONL reader accepts any JSON object per line. A file whose every line is
-in the compact form the writers emit (``json.dumps`` with ``(",", ":")``
-separators, the writer's key order, a line feed after each line) is read in
-one pass: one pattern match over the whole text, then checks over whole
-columns. Any other layout, and any file that fails a check, goes through
-the per-line reader, so an error still names the file and the line.
+A JSONL reader accepts any JSON object per line. It first types the file
+into line numbers and one column per field: with one pattern match over the
+whole text if every line is in the compact form the writers emit
+(``json.dumps`` with ``(",", ":")`` separators, the writer's key order, a
+line feed after each line), else line by line. One check per kind then
+names the file and the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -67,8 +67,21 @@ def _decode(data: bytes, path) -> str:
 
 
 def _read_text(path) -> str:
-    """The file's text with its line endings as stored; ``splitlines`` takes each kind."""
+    """The file's text with its line endings as stored; ``_split_lines`` takes each kind."""
     return _decode(Path(path).read_bytes(), path)
+
+
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, each ended by ``\\n``, ``\\r\\n`` or ``\\r`` only.
+
+    ``str.splitlines`` also ends one at U+2028, U+0085, 0x0c and five more
+    characters that a tool name or a JSON string may hold.
+    """
+    lines = _LINE_END.split(text)
+    return lines[:-1] if lines[-1] == "" else lines
 
 
 def _loads(text: str, where: str):
@@ -83,7 +96,7 @@ def _loads(text: str, where: str):
 
 def _jsonl_lines(path, text: str) -> Iterable[tuple[int, dict]]:
     """Yield (line_number, parsed object) for each non-empty line of ``text``, read from ``path``."""
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(_split_lines(text), start=1):
         if not line.strip():
             continue
         obj = _loads(line, f"{path}: line {lineno}")
@@ -150,13 +163,55 @@ def _field(obj: dict, key: str, kind: type, where: str, of: type | None = None):
     return value
 
 
+# The fields of each JSONL kind, in the order of its pattern's groups: key -> (JSON type, item type).
+_MANIFEST_FIELDS = {"item_id": (np.int64, None), "tool_id": (np.int64, None), "split": (str, None)}
+_SCENARIO_FIELDS = {"scenario_id": (int, None), "tool_id": (int, None),
+                    "text": (str, None), "item_id": (int, None)}
+_TRIAL_FIELDS = {"trial_id": (int, None), "scenario_item_id": (int, None),
+                 "candidate_item_ids": (list, int), "target_position": (int, None)}
+
+
+def _compact_column(cells: tuple[str, ...], kind: type, of: type | None) -> Sequence:
+    """A pattern group's cells typed as ``_field`` types them (a list of integers is comma-joined)."""
+    if kind is str:
+        return cells
+    if kind is np.int64:  # at most 18 digits, which numpy parses faster than int
+        return np.array(cells, dtype=np.int64)
+    if of is not None:
+        return [list(map(int, c.split(","))) for c in cells]
+    return list(map(int, cells))
+
+
+def _jsonl_columns(path, pattern: re.Pattern, fields: dict) -> tuple[Sequence[int], list]:
+    """(line numbers, one typed column per field) of the JSONL file at ``path``.
+
+    A compact file is typed column by column, any other line by line. A
+    compact file with an integer past the interpreter's digit limit is read
+    line by line too, so that ``_loads`` names the line.
+    """
+    text = _read_text(path)
+    rows = _compact_rows(pattern, text)
+    if rows is not None:
+        try:
+            return range(1, len(rows) + 1), [_compact_column(cells, *kind)
+                                             for cells, kind in zip(zip(*rows), fields.values())]
+        except ValueError:
+            pass
+    lines, values = [], []
+    for lineno, obj in _jsonl_lines(path, text):
+        where = f"{path}: line {lineno}"
+        values.append([_field(obj, key, kind, where, of) for key, (kind, of) in fields.items()])
+        lines.append(lineno)
+    return lines, list(zip(*values)) or [()] * len(fields)
+
+
 # ---------------------------------------------------------------------------
 # Catalog CSV
 
 
 def load_catalog(path) -> ToolCatalog:
     """Parse a catalog CSV, validating header, ranges, and id ordering."""
-    lines = _read_text(path).splitlines()
+    lines = _split_lines(_read_text(path))
     if not lines:
         raise FormatError(f"{path}: empty catalog file")
     header = lines[0]
@@ -311,54 +366,33 @@ def read_embeddings(path, manifest_path) -> EmbeddingSet:
     if len(unique) != count:
         raise FormatError(f"{path}: duplicate item_id {unique[counts > 1][0]}")
 
-    text = _read_text(manifest_path)
-    columns = _compact_manifest(text, ids)
-    if columns is None:
-        columns = _manifest_lines(path, manifest_path, text, ids)
-    return EmbeddingSet.from_arrays(ids, *columns, raw["vec"].astype(np.float64))
+    tool_ids, splits = _manifest_columns(path, manifest_path, ids)
+    return EmbeddingSet.from_arrays(ids, tool_ids, splits, raw["vec"].astype(np.float64))
 
 
-def _compact_manifest(text: str, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(tool ids, split names) by file row from a compact manifest, or None.
-
-    None if a line is in another layout or an id is unknown, repeated or
-    missing; the per-line reader then names the line.
-    """
-    rows = _compact_rows(_MANIFEST_ROW, text)
-    if rows is None or len(rows) != len(ids):
-        return None
-    item_ids, tool_ids, splits = zip(*rows)
-    lines = np.array(item_ids, dtype=np.int64)
-    by_id, lines_by_id = np.argsort(ids), np.argsort(lines)
-    if not np.array_equal(ids[by_id], lines[lines_by_id]):  # the file's ids are distinct
-        return None
-    order = np.empty_like(by_id)
-    order[by_id] = lines_by_id  # file row r is described by line order[r]
-    return np.array(tool_ids, dtype=np.int64)[order], np.array(splits)[order]
-
-
-def _manifest_lines(path, manifest_path, text: str, ids: np.ndarray) -> tuple[np.ndarray, list]:
-    """(tool ids, split names) by file row, one manifest line at a time."""
-    row_of = dict(zip(ids.tolist(), range(len(ids))))
-    tool_ids = np.zeros(len(ids), dtype=np.int64)
-    splits: list[str | None] = [None] * len(ids)
-    for lineno, obj in _jsonl_lines(manifest_path, text):
-        where = f"{manifest_path}: line {lineno}"
-        item_id = _field(obj, "item_id", np.int64, where)
-        row = row_of.get(item_id)
-        if row is None:
+def _manifest_columns(path, manifest_path, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(tool ids, split names) by row of the embedding file ``path``, whose distinct ids are ``ids``."""
+    lines, (items, tools, splits) = _jsonl_columns(manifest_path, _MANIFEST_ROW, _MANIFEST_FIELDS)
+    items = np.asarray(items, dtype=np.int64)
+    by_id = np.argsort(ids)
+    at = np.searchsorted(ids[by_id], items).clip(max=len(ids) - 1)  # where each line's id sorts
+    unknown = ids[by_id[at]] != items
+    repeated = np.ones(len(items), dtype=bool)
+    repeated[np.unique(items, return_index=True)[1]] = False  # every line but an id's first
+    bad = unknown | repeated | np.array([s not in VALID_SPLITS for s in splits], dtype=bool)
+    if bad.any():
+        row = int(bad.argmax())
+        where, item_id = f"{manifest_path}: line {lines[row]}", items[row]
+        if unknown[row]:
             raise FormatError(f"{where}: manifest references unknown item_id {item_id}")
-        if splits[row] is not None:
+        if repeated[row]:
             raise FormatError(f"{where}: duplicate manifest entry for item_id {item_id}")
-        split = _field(obj, "split", str, where)
-        if split not in VALID_SPLITS:
-            raise FormatError(f"{where}: split must be one of {VALID_SPLITS}, got {split!r}")
-        tool_ids[row] = _field(obj, "tool_id", np.int64, where)
-        splits[row] = split
-    if None in splits:
-        missing = min(i for i, s in zip(ids.tolist(), splits) if s is None)
-        raise FormatError(f"{path}: item_id {missing} missing from manifest")
-    return tool_ids, splits
+        raise FormatError(f"{where}: split must be one of {VALID_SPLITS}, got {splits[row]!r}")
+    if len(items) < len(ids):
+        raise FormatError(f"{path}: item_id {np.setdiff1d(ids, items).min()} missing from manifest")
+    order = np.empty_like(by_id)
+    order[by_id[at]] = np.arange(len(ids))  # file row r is described by line order[r]
+    return np.asarray(tools, dtype=np.int64)[order], np.array(splits)[order]
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +400,7 @@ def _manifest_lines(path, manifest_path, text: str, ids: np.ndarray) -> tuple[np
 
 
 def write_scenarios(scenarios: Sequence[ScenarioRecord], path) -> None:
+    """Write scenarios as compact JSONL, one object per line in the given order."""
     lines = [
         json.dumps(
             {"scenario_id": s.scenario_id, "tool_id": s.tool_id, "text": s.text, "item_id": s.item_id},
@@ -377,51 +412,29 @@ def write_scenarios(scenarios: Sequence[ScenarioRecord], path) -> None:
 
 
 def read_scenarios(path, catalog: ToolCatalog | None = None) -> list[ScenarioRecord]:
-    text = _read_text(path)
-    compact = _compact_scenarios(text, catalog)
-    if compact is not None:
-        return compact
+    """The scenarios of a JSONL file; with a catalog, every tool_id must be in it."""
+    lines, columns = _jsonl_columns(path, _SCENARIO_ROW, _SCENARIO_FIELDS)
     scenarios: list[ScenarioRecord] = []
     seen_ids: set[int] = set()
     seen_items: set[int] = set()
-    for lineno, obj in _jsonl_lines(path, text):
-        where = f"{path}: line {lineno}"
-        sid = _field(obj, "scenario_id", int, where)
-        item_id = _field(obj, "item_id", int, where)
-        if sid in seen_ids:
-            raise FormatError(f"{where}: duplicate scenario_id {sid}")
-        if item_id in seen_items:
-            raise FormatError(f"{where}: duplicate item_id {item_id}")
+    for lineno, sid, tool_id, text, item_id in zip(lines, *columns):
+        try:
+            if sid in seen_ids:
+                raise ValueError(f"duplicate scenario_id {sid}")
+            if item_id in seen_items:
+                raise ValueError(f"duplicate item_id {item_id}")
+            if catalog is not None and tool_id not in catalog:
+                raise ValueError(f"tool_id {tool_id} not in catalog")
+            scenarios.append(ScenarioRecord(sid, tool_id, text, item_id))
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
         seen_ids.add(sid)
         seen_items.add(item_id)
-        tool_id = _field(obj, "tool_id", int, where)
-        if catalog is not None and tool_id not in catalog:
-            raise FormatError(f"{where}: tool_id {tool_id} not in catalog")
-        text = _field(obj, "text", str, where)
-        try:
-            scenarios.append(ScenarioRecord(scenario_id=sid, tool_id=tool_id, text=text, item_id=item_id))
-        except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from None
     return scenarios
 
 
-def _compact_scenarios(text: str, catalog: ToolCatalog | None) -> list[ScenarioRecord] | None:
-    """The scenarios of a compact file that passes every check, else None."""
-    rows = _compact_rows(_SCENARIO_ROW, text)
-    if rows is None:
-        return None
-    scenario_ids, tool_ids, texts, item_ids = zip(*rows)
-    try:
-        scenario_ids, tool_ids, item_ids = (list(map(int, c)) for c in (scenario_ids, tool_ids, item_ids))
-    except ValueError:  # an integer longer than the interpreter's digit limit
-        return None
-    if (len(set(scenario_ids)) != len(rows) or len(set(item_ids)) != len(rows)
-            or (catalog is not None and not set(tool_ids) <= set(catalog.tool_ids()))):
-        return None
-    return list(map(ScenarioRecord, scenario_ids, tool_ids, texts, item_ids))
-
-
 def write_trials(trials: Sequence[MatchingTrial], path) -> None:
+    """Write trials as compact JSONL, one object per line in the given order."""
     lines = [
         json.dumps(
             {
@@ -438,38 +451,19 @@ def write_trials(trials: Sequence[MatchingTrial], path) -> None:
 
 
 def read_trials(path) -> list[MatchingTrial]:
-    text = _read_text(path)
-    compact = _compact_trials(text)
-    if compact is not None:
-        return compact
+    """The matching trials of a JSONL file; trial ids are distinct."""
+    lines, columns = _jsonl_columns(path, _TRIAL_ROW, _TRIAL_FIELDS)
     trials: list[MatchingTrial] = []
     seen: set[int] = set()
-    for lineno, obj in _jsonl_lines(path, text):
-        where = f"{path}: line {lineno}"
-        trial_id = _field(obj, "trial_id", int, where)
-        if trial_id in seen:
-            raise FormatError(f"{where}: duplicate trial_id {trial_id}")
-        seen.add(trial_id)
-        scenario_item_id = _field(obj, "scenario_item_id", int, where)
-        candidates = _field(obj, "candidate_item_ids", list, where, of=int)
-        target_position = _field(obj, "target_position", int, where)
+    for lineno, trial_id, scenario_item_id, candidates, target_position in zip(lines, *columns):
         try:
-            trials.append(MatchingTrial(trial_id, scenario_item_id, tuple(candidates), target_position))
+            if trial_id in seen:
+                raise ValueError(f"duplicate trial_id {trial_id}")
+            trials.append(MatchingTrial(trial_id, scenario_item_id, candidates, target_position))
         except ValueError as exc:
-            raise FormatError(f"{where}: {exc}") from None
+            raise FormatError(f"{path}: line {lineno}: {exc}") from None
+        seen.add(trial_id)
     return trials
-
-
-def _compact_trials(text: str) -> list[MatchingTrial] | None:
-    """The trials of a compact file that passes every check, else None."""
-    rows = _compact_rows(_TRIAL_ROW, text)
-    if rows is None:
-        return None
-    try:
-        trials = [MatchingTrial(int(t), int(s), tuple(map(int, c.split(","))), int(p)) for t, s, c, p in rows]
-    except ValueError:  # an invalid trial, or an integer past the interpreter's digit limit
-        return None
-    return trials if len({t.trial_id for t in trials}) == len(trials) else None
 
 
 # ---------------------------------------------------------------------------

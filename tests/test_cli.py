@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from toolmatch.cli import main
-from toolmatch.formats import load_checkpoint, sha256_file
+from toolmatch.domain import ToolCatalog, ToolRecord
+from toolmatch.formats import load_catalog, load_checkpoint, save_catalog, sha256_file
 
 
 def run(capsys, *argv):
@@ -431,6 +432,26 @@ class TestBitPins:
         assert sha256_json([report["baseline"], *report["rows"]]) == self.ABLATE[name]
 
 
+class TestOtherLineBreaks:
+    """str.splitlines also ends a line at U+2028, U+0085, 0x0c and 0x1c; a catalog row or JSONL line does not."""
+
+    @pytest.mark.parametrize("char", ["\u2028", "\x85", "\x0c", "\x1c"])
+    def test_train_reads_a_tool_name_and_a_manifest_field_holding_one(self, capsys, dataset, tmp_path, char):
+        catalog = tmp_path / "catalog.csv"
+        save_catalog(ToolCatalog([ToolRecord(t.tool_id, f"saw{char}{t.tool_name}", t.attributes)
+                                  for t in load_catalog(dataset / "catalog.csv")]), catalog)
+        manifest = tmp_path / "manifest.jsonl"
+        lines = (dataset / "visual_manifest.jsonl").read_text().splitlines()
+        rows = [{**json.loads(line), "note": f"cam{char}1"} for line in lines]
+        manifest.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        report = run_json(
+            capsys, "train", "--pathway", "visual",
+            "--embeddings", str(dataset / "visual.femb"), "--manifest", str(manifest), "--catalog", str(catalog),
+            "--out", str(tmp_path / "head.json"), "--hidden", "4", "--epochs", "1",
+        )
+        assert report["training"]["epochs_run"] == 1
+
+
 class TestGradcheck:
     def test_default_passes(self, capsys):
         report = run_json(capsys, "gradcheck", "--dims", "8,256,64,13", "--seed", "3")
@@ -455,6 +476,13 @@ class TestGradcheck:
         assert code == 1
         report = json.loads(out)  # report still emitted
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    def test_tolerance_must_be_positive_and_finite(self, capsys, tol):
+        # inf would pass any finite error; nan and -1 would fail gradients that are right.
+        code, out, err = run(capsys, "gradcheck", "--dims", "4,13", f"--tol={tol}")
+        assert code == 1 and out == ""
+        assert "--tol must be a positive finite number" in json.loads(err)["error"]["message"]
 
     def test_h_out_of_range_is_runtime_error(self, capsys):
         code, out, err = run(capsys, "gradcheck", "--dims", "8,13", "--h", "0.5")

@@ -36,6 +36,10 @@ from toolmatch.training import HeadConfig, TrainedHead, train_head
 from toolmatch.domain import EmbeddingSet
 
 
+# Characters at which str.splitlines ends a line; only \n, \r\n and \r end a row or a JSONL line.
+OTHER_LINE_BREAKS = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
 def small_catalog():
     return ToolCatalog(
         [
@@ -56,6 +60,13 @@ class TestCatalogCsv:
             got = loaded.get(tool.tool_id)
             assert got.tool_name == tool.tool_name
             assert np.array_equal(got.attributes, tool.attributes)
+
+    @pytest.mark.parametrize("char", OTHER_LINE_BREAKS)
+    def test_round_trip_keeps_a_name_holding_another_line_break(self, tmp_path, char):
+        path = tmp_path / "catalog.csv"
+        save_catalog(ToolCatalog([ToolRecord(0, f"saw{char}blade", np.full(13, 4.0)),
+                                  ToolRecord(1, "awl", np.full(13, 2.0))]), path)
+        assert [t.tool_name for t in load_catalog(path)] == [f"saw{char}blade", "awl"]
 
     def test_header_names_every_attribute(self):
         assert CATALOG_HEADER.split(",") == ["tool_id", "tool_name"] + list(ATTRIBUTE_NAMES)
@@ -394,6 +405,19 @@ class TestScenarioJsonl:
         write_scenarios(scenarios, path)
         loaded = read_scenarios(path)
         assert loaded == scenarios
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\x85"])
+    def test_text_holding_another_line_break(self, tmp_path, char):
+        # json.dumps(..., ensure_ascii=False) writes these characters unescaped.
+        path = tmp_path / "s.jsonl"
+        rows = [{"scenario_id": 0, "tool_id": 2, "text": f"saw{char}a board", "item_id": 100},
+                {"scenario_id": 1, "tool_id": 3, "text": "b", "item_id": 101},
+                {"scenario_id": 1, "tool_id": 3, "text": "c", "item_id": 102}]
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows[:2]), encoding="utf-8")
+        assert [s.text for s in read_scenarios(path)] == [f"saw{char}a board", "b"]
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: line 3: duplicate scenario_id 1$"):
+            read_scenarios(path)
 
     def test_duplicate_scenario_id(self, tmp_path):
         path = tmp_path / "s.jsonl"

@@ -1,7 +1,7 @@
-"""The two JSONL read paths: a file in the writers' compact form is read in
-one pass, any other layout line by line. Both must give the same result, or
-the same FormatError, on every input; only the per-line reader raises, so an
-error always names the file and the line."""
+"""The two JSONL read paths: a file in the writers' compact form is typed in
+one pass, any other layout line by line. Both feed the same columns to one
+check per kind, so both must give the same result, or the same FormatError
+naming the file and the line, on every input."""
 
 import json
 import re
@@ -250,3 +250,20 @@ def test_benchmark_writers_output_takes_the_one_pass_path(tmp_path, monkeypatch,
     inputs.write_trials(tmp_path / "t.jsonl", TRIALS)
     assert read_embeddings(tmp_path / "e.femb", tmp_path / "m.jsonl").tool_ids.tolist() == [0, 1, 2, 0, 1]
     assert [t.trial_id for t in read_trials(tmp_path / "t.jsonl")] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("kind, change, message", [
+    ("trials", {"trial_id": 0}, "duplicate trial_id 0"),
+    ("scenarios", {"scenario_id": 0}, "duplicate scenario_id 0"),
+    ("scenarios", {"item_id": 100}, "duplicate item_id 100"),
+    ("scenarios", {"tool_id": 3}, "tool_id 3 not in catalog"),
+    ("manifest", {"item_id": 5}, "duplicate manifest entry for item_id 5"),
+    ("manifest", {"item_id": 77}, "manifest references unknown item_id 77"),
+])
+def test_fault_in_a_compact_file_is_named_in_one_pass(kind, change, message, embeddings, tmp_path, one_pass_only):
+    """A compact file whose last line breaks a check is not read a second time to name the line."""
+    rows, read = readers(embeddings)[kind]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(compact(rows[:-1] + [{**rows[-1], **change}]))
+    with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: line {len(rows)}: {message}')}$"):
+        read(path)
