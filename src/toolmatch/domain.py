@@ -205,7 +205,7 @@ class EmbeddingSet:
             raise ValueError(f"vectors must be an (n, dim) matrix, got shape {vectors.shape}")
         ids = _int_column("item_ids", item_ids)
         tools = _int_column("tool_ids", tool_ids)
-        splits = np.asarray(splits)
+        names, splits = splits, np.asarray(splits)
         if splits.ndim != 1:
             raise ValueError(f"splits must be one-dimensional, got shape {splits.shape}")
         lengths = (len(ids), len(tools), len(splits), len(vectors))
@@ -223,10 +223,12 @@ class EmbeddingSet:
         for code, name in enumerate(VALID_SPLITS):
             codes[splits == name] = code
         bad = codes == len(VALID_SPLITS)
+        if not isinstance(names, np.ndarray):  # numpy drops a str's trailing NULs: "train\x00" == "train"
+            names = list(names)
+            bad |= np.array([name not in VALID_SPLITS for name in names], dtype=bool)
         if bad.any():
-            raise ValueError(
-                f"split must be one of {VALID_SPLITS}, got {splits.tolist()[int(np.argmax(bad))]!r}"
-            )
+            name = (names if isinstance(names, list) else splits.tolist())[int(np.argmax(bad))]
+            raise ValueError(f"split must be one of {VALID_SPLITS}, got {name!r}")
         row_of = dict(zip(ids.tolist(), range(len(ids))))
         if len(row_of) != len(ids):
             unique, counts = np.unique(ids, return_counts=True)

@@ -6,12 +6,15 @@ header match, exact byte-length equation, no NaN passthrough, no column
 reordering. Checkpoints store parameters as decimal strings produced by
 ``repr`` so 64-bit values round-trip bit-exactly through JSON.
 
+A JSONL writer fills one ``%`` template per line. The template gives the
+bytes of ``json.dumps`` with ``(",", ":")`` separators, in the writer's key
+order, with a line feed after each line. Text goes through
+``encode_basestring_ascii``, as in ``json.dumps``.
+
 A JSONL reader accepts any JSON object per line. It first types the file
 into line numbers and one column per field: with one pattern match over the
-whole text if every line is in the compact form the writers emit
-(``json.dumps`` with ``(",", ":")`` separators, the writer's key order, a
-line feed after each line), else line by line. One check per kind then
-names the file and the line of the first bad row.
+whole text if every line is in that compact form, else line by line. One
+check per kind then names the file and the line of the first bad row.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import json
 import re
 import struct
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -399,16 +403,20 @@ def _manifest_columns(path, manifest_path, ids: np.ndarray) -> tuple[np.ndarray,
 # Scenario and trial JSONL
 
 
+# One line of each kind as json.dumps(..., separators=(",", ":")) writes it; a
+# template takes exact ints only, since "%d" writes True as 1 and 1.5 as 1.
+_SCENARIO_LINE = '{"scenario_id":%d,"tool_id":%d,"text":%s,"item_id":%d}\n'
+_TRIAL_LINE = '{"trial_id":%d,"scenario_item_id":%d,"candidate_item_ids":[%s],"target_position":%d}\n'
+
+
 def write_scenarios(scenarios: Sequence[ScenarioRecord], path) -> None:
     """Write scenarios as compact JSONL, one object per line in the given order."""
-    lines = [
-        json.dumps(
-            {"scenario_id": s.scenario_id, "tool_id": s.tool_id, "text": s.text, "item_id": s.item_id},
-            separators=(",", ":"),
-        )
-        for s in scenarios
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lines = []
+    for s in scenarios:
+        if not (type(s.scenario_id) is type(s.tool_id) is type(s.item_id) is int and isinstance(s.text, str)):
+            raise FormatError(f"scenario {s.scenario_id!r}: ids must be integers and text a string")
+        lines.append(_SCENARIO_LINE % (s.scenario_id, s.tool_id, encode_basestring_ascii(s.text), s.item_id))
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_scenarios(path, catalog: ToolCatalog | None = None) -> list[ScenarioRecord]:
@@ -435,19 +443,14 @@ def read_scenarios(path, catalog: ToolCatalog | None = None) -> list[ScenarioRec
 
 def write_trials(trials: Sequence[MatchingTrial], path) -> None:
     """Write trials as compact JSONL, one object per line in the given order."""
-    lines = [
-        json.dumps(
-            {
-                "trial_id": t.trial_id,
-                "scenario_item_id": t.scenario_item_id,
-                "candidate_item_ids": list(t.candidate_item_ids),
-                "target_position": t.target_position,
-            },
-            separators=(",", ":"),
-        )
-        for t in trials
-    ]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    lines = []
+    for t in trials:
+        ids = (t.trial_id, t.scenario_item_id, t.target_position, *t.candidate_item_ids)
+        if set(map(type, ids)) != {int}:
+            raise FormatError(f"trial {t.trial_id!r}: ids and target_position must be integers")
+        lines.append(_TRIAL_LINE % (t.trial_id, t.scenario_item_id, ",".join(map(str, t.candidate_item_ids)),
+                                    t.target_position))
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def read_trials(path) -> list[MatchingTrial]:

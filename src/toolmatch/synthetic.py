@@ -27,6 +27,7 @@ from toolmatch.domain import (
     ScenarioRecord,
     ToolCatalog,
     ToolRecord,
+    VALID_SPLITS,
     check_trial,
 )
 from toolmatch.formats import (
@@ -46,6 +47,7 @@ SCENARIO_PRESETS: dict[str, tuple[int, int]] = {
 
 DEFAULT_IMAGES_PER_TOOL = (90, 10)
 MAX_TRIAL_TOOLS = 100
+NOISE_BLOCK = 1 << 14  # most noise variates drawn by one normals call, unless one tool needs more
 
 RATING_GRID = tuple(range(1, 8))
 
@@ -154,27 +156,39 @@ def _emit_items(
 ) -> EmbeddingSet:
     """Per-tool train-then-test items, ids tool-major.
 
-    Noise is drawn as one (stride, dim) block per tool, row j for item j, so
-    the variates follow id order exactly as one draw per item would; a block
-    per tool rather than per dataset keeps the noise temporaries to one tool's
-    items.
+    Each tool's rows start as its mixed attribute vector. Noise is then added
+    over the rows in id order, one ``normals`` call per block of whole tools
+    of at most ``NOISE_BLOCK`` variates (one tool if a tool alone is larger).
+    ``normals(a)`` then ``normals(b)`` draws what ``normals(a + b)`` does, so
+    every item gets the variates one draw per item would give it, while the
+    block bounds the noise temporaries.
     """
     dim = mixer.shape[0]
     n_train, n_test = per_tool
     stride = n_train + n_test
     n_tools = len(attributes)
-    vectors = np.empty((n_tools * stride, dim))
+    vectors = np.empty((n_tools, stride, dim))
     for tool_id, attrs in enumerate(attributes):
-        base = mixer @ attrs
-        rows = vectors[tool_id * stride:(tool_id + 1) * stride]
-        if sigma == 0.0:
-            rows[:] = base
-        else:
-            rows[:] = base + sigma * rng.normals(stride * dim).reshape(stride, dim)
+        vectors[tool_id] = mixer @ attrs
+    if sigma != 0.0:
+        tools_per_block = max(NOISE_BLOCK // (stride * dim), 1)
+        for start in range(0, n_tools, tools_per_block):
+            rows = vectors[start:start + tools_per_block]
+            rows += sigma * rng.normals(rows.size).reshape(rows.shape)
     splits = np.tile(np.array(["train"] * n_train + ["test"] * n_test), n_tools)
     return EmbeddingSet.from_arrays(
-        np.arange(n_tools * stride), np.repeat(np.arange(n_tools), stride), splits, vectors
+        np.arange(n_tools * stride), np.repeat(np.arange(n_tools), stride), splits,
+        vectors.reshape(n_tools * stride, dim),
     )
+
+
+def _test_items_by_tool(items: EmbeddingSet) -> dict[int, list[int]]:
+    """Each tool's test item ids, in row order (id order for a generated set)."""
+    test = items.split_codes == VALID_SPLITS.index("test")
+    by_tool: dict[int, list[int]] = {}
+    for item_id, tool_id in zip(items.item_ids[test].tolist(), items.tool_ids[test].tolist()):
+        by_tool.setdefault(tool_id, []).append(item_id)
+    return by_tool
 
 
 def _build_trials(
@@ -184,12 +198,8 @@ def _build_trials(
     scenario_embeddings: EmbeddingSet,
 ) -> list[MatchingTrial]:
     """One trial per tool for the first min(100, n_tools) tools, test items only."""
-    by_tool_visual: dict[int, list[int]] = {}
-    for item_id in visual.items("test"):
-        by_tool_visual.setdefault(visual.tool_of(item_id), []).append(item_id)
-    by_tool_scenario: dict[int, list[int]] = {}
-    for item_id in scenario_embeddings.items("test"):
-        by_tool_scenario.setdefault(scenario_embeddings.tool_of(item_id), []).append(item_id)
+    by_tool_visual = _test_items_by_tool(visual)
+    by_tool_scenario = _test_items_by_tool(scenario_embeddings)
 
     tool_ids = list(range(n_tools))
     trials: list[MatchingTrial] = []

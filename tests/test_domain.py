@@ -1,5 +1,6 @@
 """Attribute registry, catalog, embedding set, and trial invariants."""
 
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -269,6 +270,15 @@ class TestColumnarEmbeddingSet:
     def test_from_arrays_rejects_bad_columns(self, arrays, match):
         with pytest.raises(ValueError, match=match):
             EmbeddingSet.from_arrays(*arrays)
+
+    @pytest.mark.parametrize("splits", [["train\x00"], ("test\x00\x00",), ["train", "test\x00"]])
+    def test_split_names_keep_trailing_nuls(self, splits):
+        # numpy's fixed-width strings drop trailing NULs, where "train\x00" would equal "train".
+        n = len(splits)
+        with pytest.raises(ValueError, match=re.escape(repr(splits[-1]))):
+            EmbeddingSet.from_arrays(list(range(n)), [0] * n, splits, np.ones((n, 2)))
+        with pytest.raises(ValueError, match=re.escape(repr(splits[-1]))):
+            EmbeddingRecord(0, 0, splits[-1], np.ones(2))
 
     def test_vector_rows_are_read_only(self):
         for es in (EmbeddingSet(UNORDERED), EmbeddingSet.from_arrays(*columns(UNORDERED))):

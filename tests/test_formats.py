@@ -451,6 +451,74 @@ class TestScenarioJsonl:
             read_scenarios(path)
 
 
+def dumps_lines(rows) -> bytes:
+    """The JSONL the scenario and trial writers wrote with json.dumps."""
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows).encode("utf-8")
+
+
+def scenario_row(s):
+    return {"scenario_id": s.scenario_id, "tool_id": s.tool_id, "text": s.text, "item_id": s.item_id}
+
+
+def trial_row(t):
+    return {"trial_id": t.trial_id, "scenario_item_id": t.scenario_item_id,
+            "candidate_item_ids": list(t.candidate_item_ids), "target_position": t.target_position}
+
+
+# Texts json.dumps escapes: quote, backslash, every control character, DEL,
+# non-ASCII, U+2028, an astral character and a lone surrogate.
+ESCAPED_TEXTS = ['"', "\\", *map(chr, range(0x20)), "\x7f", "caf\u00e9 \u00fc", "\u2028",
+                 "\U0001f528 hammer", "\ud800", 'say "hi"\\\n\tthen\x00stop']
+
+
+class TestJsonlWriters:
+    def test_scenario_lines_equal_json_dumps(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        scenarios = [ScenarioRecord(i, (1 << 64) + i, text, (1 << 63) + i) for i, text in enumerate(ESCAPED_TEXTS)]
+        write_scenarios(scenarios, path)
+        assert path.read_bytes() == dumps_lines(map(scenario_row, scenarios))
+        assert read_scenarios(path) == scenarios
+
+    def test_trial_lines_equal_json_dumps(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        trials = [MatchingTrial(1 << 64, (1 << 63) + 5, tuple((1 << 70) + k for k in range(10)), 9),
+                  MatchingTrial(0, 0, tuple(range(10)), 0)]
+        write_trials(trials, path)
+        assert path.read_bytes() == dumps_lines(map(trial_row, trials))
+        assert read_trials(path) == trials
+
+    @staticmethod
+    def writes_old_line_or_refuses(write, record, row, name, path):
+        # "%d" % 1.5 is "1" and "%d" % True is "1": a writer may refuse such a
+        # record, naming it, but never write other bytes than json.dumps did.
+        try:
+            write([record], path)
+        except ValueError as exc:
+            assert name in str(exc)
+            assert not path.exists()
+        else:
+            assert path.read_bytes() == dumps_lines([row])
+
+    @pytest.mark.parametrize("value", [True, False, 1.5, 2.0])
+    @pytest.mark.parametrize("field", ["scenario_id", "tool_id", "item_id"])
+    def test_scenario_with_a_bool_or_float_id(self, tmp_path, field, value):
+        record = ScenarioRecord(**{"scenario_id": 3, "tool_id": 1, "text": "a", "item_id": 4, field: value})
+        self.writes_old_line_or_refuses(write_scenarios, record, scenario_row(record),
+                                        f"scenario {record.scenario_id!r}", tmp_path / "s.jsonl")
+
+    @pytest.mark.parametrize("value", [True, 1.5, 2.0])
+    @pytest.mark.parametrize("field", ["trial_id", "scenario_item_id", "target_position", "candidate"])
+    def test_trial_with_a_bool_or_float_id(self, tmp_path, field, value):
+        fields = {"trial_id": 3, "scenario_item_id": 1, "candidate_item_ids": (20, *range(9)), "target_position": 2}
+        if field == "candidate":
+            fields["candidate_item_ids"] = (value, *range(10, 19))
+        else:
+            fields[field] = value
+        record = MatchingTrial(**fields)
+        self.writes_old_line_or_refuses(write_trials, record, trial_row(record),
+                                        f"trial {record.trial_id!r}", tmp_path / "t.jsonl")
+
+
 class TestTrialJsonl:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from toolmatch.domain import CANDIDATES_PER_TRIAL, check_trial
-from toolmatch.formats import load_catalog, read_embeddings, read_scenarios, read_trials
+from toolmatch import synthetic
+from toolmatch.formats import load_catalog, read_embeddings, read_scenarios, read_trials, sha256_file
+from toolmatch.rng import SplitMix64
 from toolmatch.synthetic import (
     DATASET_FILENAMES,
     SCENARIO_PRESETS,
@@ -27,6 +29,25 @@ def tiny_spec(**overrides):
     )
     base.update(overrides)
     return SyntheticSpec(**base)
+
+
+# sha256 of every file of tiny_spec(noise_sigma=0.3), recorded when noise was
+# still drawn one item at a time: a seed must give the same files in every
+# version, not just within one run.
+PINNED_FILES = {
+    "catalog": "d70a1e47b28a9d98e75b507d9d78a1d7fe46513c06f3bfcd021d5174bd8e8009",
+    "visual": "5a0b58300277e3e9b3afedcfa1f2a7476297737c740e26225fa9f88b1597eb19",
+    "visual_manifest": "f3dc201fa5f0e52ed9894b797446cc28267ddeb84b3e2b679f238ce6030a9f06",
+    "scenario_embeddings": "29b026df2f04d618268ca193b33ba55a14747a17f73562c5dc248aa78b14b7f5",
+    "scenario_manifest": "47aceaedcbffb5d8f2004fbc9f603f8c17ccf51588c79708f841dd6ac6bd3596",
+    "scenarios": "f340d17831a64d1a03c43a50ecb6e65498c63c42a753b9f48ff9c28a28a4992b",
+    "trials": "50e9e8b6241e79e749a568df2f74314bb1e5ae194ce56213435e3cc2ffab7ab8",
+}
+
+
+def noisy_digests(out_dir):
+    paths = write_dataset(generate(tiny_spec(noise_sigma=0.3)), out_dir)
+    return {key: sha256_file(paths[key]) for key in DATASET_FILENAMES}
 
 
 class TestSpecValidation:
@@ -178,6 +199,37 @@ class TestNoise:
         assert not np.array_equal(ds.visual.vector(0), ds.visual.vector(1))
 
 
+class TestNoiseBlocks:
+    # A tiny_spec tool draws 5 * 16 = 80 visual and 6 * 13 = 78 language
+    # variates, so every tiny_spec dataset fits in one default block.
+    @pytest.mark.parametrize("block", [1, 79, 77, 200, 1 << 40])
+    def test_block_size_leaves_files_unchanged(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(synthetic, "NOISE_BLOCK", block)
+        assert noisy_digests(tmp_path) == PINNED_FILES
+
+    def test_blocks_draw_what_one_draw_per_tool_draws(self, monkeypatch):
+        # 33 tools of 50 * 32 visual variates: blocks of 10 tools, then 3;
+        # 33 tools of 100 * 24 language variates: blocks of 6 tools, then 3.
+        spec = tiny_spec(n_tools=33, images_per_tool=(40, 10), scenarios_per_tool=(90, 10),
+                         d_v=32, d_l=24, noise_sigma=0.7, seed=11)
+        drawn = []
+        normals = SplitMix64.normals
+        monkeypatch.setattr(SplitMix64, "normals", lambda rng, n: drawn.append(n) or normals(rng, n))
+        ds = generate(spec)
+        monkeypatch.undo()
+        assert drawn == [32 * 13, 24 * 13] + [16000] * 3 + [4800] + [14400] * 5 + [7200]
+
+        seeds = SplitMix64(spec.seed).child_seeds(6)
+        for items, mixer, stream, per_tool in (
+            (ds.visual, ds.mix_visual, seeds[3], spec.images_per_tool),
+            (ds.scenario_embeddings, ds.mix_language, seeds[4], spec.scenarios_per_tool),
+        ):
+            rng, stride, dim = SplitMix64(stream), sum(per_tool), mixer.shape[0]
+            want = [mixer @ tool.attributes + spec.noise_sigma * rng.normals(stride * dim).reshape(stride, dim)
+                    for tool in ds.catalog]
+            assert np.array_equal(items.vectors, np.concatenate(want))
+
+
 class TestTrials:
     def test_one_trial_per_tool_capped(self):
         ds = generate(tiny_spec(n_tools=14))
@@ -246,26 +298,9 @@ class TestWriteDataset:
         assert read_scenarios(paths["scenarios"], catalog) == ds.scenarios
 
     def test_files_pinned_across_versions(self, tmp_path):
-        # sha256 of every file of one noisy dataset, recorded when noise was
-        # still drawn one item at a time: a seed must give the same files in
-        # every version, not just within one run.
-        from toolmatch.formats import sha256_file
-
-        want = {
-            "catalog": "d70a1e47b28a9d98e75b507d9d78a1d7fe46513c06f3bfcd021d5174bd8e8009",
-            "visual": "5a0b58300277e3e9b3afedcfa1f2a7476297737c740e26225fa9f88b1597eb19",
-            "visual_manifest": "f3dc201fa5f0e52ed9894b797446cc28267ddeb84b3e2b679f238ce6030a9f06",
-            "scenario_embeddings": "29b026df2f04d618268ca193b33ba55a14747a17f73562c5dc248aa78b14b7f5",
-            "scenario_manifest": "47aceaedcbffb5d8f2004fbc9f603f8c17ccf51588c79708f841dd6ac6bd3596",
-            "scenarios": "f340d17831a64d1a03c43a50ecb6e65498c63c42a753b9f48ff9c28a28a4992b",
-            "trials": "50e9e8b6241e79e749a568df2f74314bb1e5ae194ce56213435e3cc2ffab7ab8",
-        }
-        paths = write_dataset(generate(tiny_spec(noise_sigma=0.3)), tmp_path)
-        assert {key: sha256_file(paths[key]) for key in DATASET_FILENAMES} == want
+        assert noisy_digests(tmp_path) == PINNED_FILES
 
     def test_writes_are_byte_identical_across_runs(self, tmp_path):
-        from toolmatch.formats import sha256_file
-
         da, db = tmp_path / "a", tmp_path / "b"
         da.mkdir()
         db.mkdir()

@@ -98,3 +98,31 @@ def test_matching_ablation_reaches_the_tracer(monkeypatch, tmp_path):
     assert totals["formats.load_checkpoint.calls"] == 2 and totals["formats.load_checkpoint.s"] > 0
     assert totals["nn.head_forward.calls"] == 2  # one stacked pass per head
     assert totals["nn.head_forward.rows"] == distinct
+
+
+def test_gen_synth_reaches_the_tracer(monkeypatch, tmp_path):
+    """``gen-synth`` generates and writes through the patched ``cli.generate``,
+    ``cli.write_dataset`` and ``synthetic.write_embeddings``, and draws every
+    mixer and noise variate through ``SplitMix64.normals``, so the benchmark's
+    ``ingest`` per-layer view sees that work however it is blocked."""
+    monkeypatch.syspath_prepend(str(TOOLBENCH))
+    import tracing
+    from toolmatch import cli
+
+    tracer = tracing.Tracer()
+    tracing.install_layer_spans(tracer)
+    tracer.install()
+    try:
+        code = cli.main(["gen-synth", "--tools", "12", "--preset", "small", "--images", "3,2", "--dv", "16",
+                         "--dl", "14", "--sigma", "0.5", "--seed", "3", "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    totals = tracer.totals(rounds=1)
+    mixers = (16 + 14) * 13
+    noise = 12 * ((3 + 2) * 16 + (10 + 3) * 14)  # one variate per item and dimension
+    assert totals["rng.normals.variates"] == mixers + noise
+    for name in ("synthetic.generate", "synthetic.write_dataset", "formats.write_embeddings"):
+        assert totals[f"{name}.s"] > 0, name
+    assert totals["synthetic.generate.calls"] == totals["synthetic.write_dataset.calls"] == 1
+    assert totals["formats.write_embeddings.calls"] == 2
