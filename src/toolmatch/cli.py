@@ -14,7 +14,10 @@ import json
 import math
 import sys
 import time
+from functools import partial
 from typing import Sequence
+
+import numpy as np
 
 from toolmatch.domain import canonical_attribute_order
 from toolmatch.evaluation import (
@@ -25,6 +28,7 @@ from toolmatch.evaluation import (
     most_similar_class_accuracy,
 )
 from toolmatch.formats import (
+    FormatError,
     load_catalog,
     load_checkpoint,
     read_embeddings,
@@ -36,7 +40,7 @@ from toolmatch.nn import gradcheck, head_forward, init_head
 from toolmatch.rng import SplitMix64
 from toolmatch.similarity import AblationMask
 from toolmatch.synthetic import SCENARIO_PRESETS, SyntheticSpec, generate, write_dataset
-from toolmatch.training import HeadConfig, PATHWAYS, TrainingDivergedError, predict_each, predict_items, train_head
+from toolmatch.training import HeadConfig, PATHWAYS, TrainingDivergedError, predict_each, train_head
 from toolmatch.training import predictor  # noqa: F401  patched here by toolbench/tracing.py
 
 # Flag value -> internal metric name.
@@ -281,13 +285,19 @@ def _evaluator(args):
             scenario_manifest=args.scenario_manifest,
             trials=args.trials,
         )
+        for field, ids, source, path in (
+            ("scenario_item_id", [[t.scenario_item_id] for t in trials], scenario_embeddings, args.scenarios),
+            ("candidate_item_ids", [t.candidate_item_ids for t in trials], visual, args.visual),
+        ):
+            absent = np.argwhere(~np.isin(ids, source.item_ids))
+            if len(absent):
+                row, col = absent[0]
+                raise FormatError(f"{args.trials}: trial {trials[row].trial_id}: {field}: "
+                                  f"item_id {ids[row][col]} not in {path}")
         # Each distinct item is predicted once, and the trials are gathered
         # once; every mask scores the same batch.
-        scenario_ids = sorted({t.scenario_item_id for t in trials})
-        candidate_ids = sorted({c for t in trials for c in t.candidate_item_ids})
-        scenario_rows = dict(zip(scenario_ids, predict_each(language_head, scenario_embeddings, scenario_ids)))
-        candidate_rows = dict(zip(candidate_ids, predict_each(visual_head, visual, candidate_ids)))
-        batch = MatchingBatch.gather(trials, scenario_rows.__getitem__, candidate_rows.__getitem__, args.clamp)
+        batch = MatchingBatch.gather(trials, partial(predict_each, language_head, scenario_embeddings),
+                                     partial(predict_each, visual_head, visual), args.clamp)
 
         def evaluate(mask):
             return matching_accuracy(batch, metric=METRIC_FLAGS[args.metric], mask=mask,
@@ -313,7 +323,7 @@ def _evaluator(args):
         checkpoint=args.checkpoint, embeddings=args.embeddings,
         manifest=args.manifest, catalog=args.catalog,
     )
-    pred_rows = predict_items(trained, embeddings, items)
+    pred_rows = predict_each(trained, embeddings, items)
     if args.which == "attr":
         preds = list(pred_rows)
         truths = [catalog.attributes_of(embeddings.tool_of(i)) for i in items]

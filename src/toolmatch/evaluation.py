@@ -153,14 +153,14 @@ def most_similar_class_accuracy(
     return report
 
 
-PredictFn = Callable[[int], np.ndarray]
+PredictFn = Callable[[np.ndarray], np.ndarray]  # item ids -> one 13-wide prediction row per id
 
 
 def _gather(predict: PredictFn, ids: np.ndarray, clamp: bool) -> np.ndarray:
     """Predictions for an array of item ids, shaped ``ids.shape + (13,)``;
-    each distinct id is fetched through ``predict`` once."""
+    ``predict`` is called once, on the sorted distinct ids."""
     distinct, inverse = np.unique(ids, return_inverse=True)
-    table = np.array([predict(int(i)) for i in distinct], dtype=np.float64)
+    table = np.asarray(predict(distinct), dtype=np.float64)
     if clamp:
         table = clamp_vector(table)
     return table[inverse.reshape(ids.shape)]
@@ -188,11 +188,11 @@ class MatchingBatch:
     def gather(
         cls,
         trials: Sequence[MatchingTrial],
-        predict_scenario: PredictFn,
-        predict_candidate: PredictFn,
+        predict_scenarios: PredictFn,
+        predict_candidates: PredictFn,
         clamp: bool = False,
     ) -> "MatchingBatch":
-        """Fetch each distinct scenario and candidate prediction once, clamped to [1, 7] if ``clamp``."""
+        """Predict the distinct scenario and candidate ids, one call each; clamp to [1, 7] if ``clamp``."""
         if not trials:
             raise ValueError("need at least one trial")
         candidate_ids = np.array([t.candidate_item_ids for t in trials])
@@ -200,8 +200,8 @@ class MatchingBatch:
             trials=trials,
             candidate_ids=candidate_ids,
             targets=np.array([t.target_item_id for t in trials]),
-            queries=_gather(predict_scenario, np.array([t.scenario_item_id for t in trials]), clamp),
-            candidates=_gather(predict_candidate, candidate_ids, clamp),
+            queries=_gather(predict_scenarios, np.array([t.scenario_item_id for t in trials]), clamp),
+            candidates=_gather(predict_candidates, candidate_ids, clamp),
             clamp=clamp,
         )
 

@@ -56,8 +56,8 @@ class HeadConfig:
         if self.pathway not in PATHWAYS:
             raise ValueError(f"pathway must be one of {PATHWAYS}, got {self.pathway!r}")
         object.__setattr__(self, "layer_dims", validate_layer_dims(self.layer_dims))
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # nan fails this too
+            raise ValueError(f"learning_rate must be a positive finite number, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
         if self.max_epochs < 0:
@@ -74,7 +74,6 @@ class HeadConfig:
             raise ValueError(f"pathway must be one of {PATHWAYS}, got {pathway!r}")
         base = dict(PATHWAY_DEFAULTS[pathway])
         hidden = tuple(overrides.pop("hidden_dims", base.pop("hidden_dims")))
-        base.pop("hidden_dims", None)
         base.update(overrides)
         return cls(pathway=pathway, layer_dims=(int(input_dim), *hidden, NUM_ATTRIBUTES), **base)
 
@@ -237,13 +236,6 @@ def predict_attributes(trained: TrainedHead, embeddings: EmbeddingSet, item_id: 
     return head_forward(trained.head, embeddings.vector(item_id))
 
 
-def predict_items(trained: TrainedHead, embeddings: EmbeddingSet, item_ids: Sequence[int]) -> np.ndarray:
-    """Batched predictions, one row per requested item."""
-    if len(item_ids) == 0:
-        return np.zeros((0, NUM_ATTRIBUTES))
-    return head_forward(trained.head, embeddings.matrix(item_ids))
-
-
 def predict_each(trained: TrainedHead, embeddings: EmbeddingSet, item_ids: Sequence[int]) -> np.ndarray:
     """One row per requested item, each equal to its ``predict_attributes`` to the bit.
 
@@ -255,7 +247,7 @@ def predict_each(trained: TrainedHead, embeddings: EmbeddingSet, item_ids: Seque
 
 
 def predictor(trained: TrainedHead, embeddings: EmbeddingSet):
-    """item_id -> prediction callable with a per-item cache (for trial evaluation)."""
+    """item_id -> prediction callable with a per-item cache (for one request at a time)."""
     cache: dict[int, np.ndarray] = {}
 
     def predict(item_id: int) -> np.ndarray:

@@ -8,6 +8,7 @@ verdicts always appear in the run log).
 import json
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from toolmatch.similarity import (
     select_tool,
 )
 from toolmatch.synthetic import SyntheticSpec, generate
-from toolmatch.training import HeadConfig, predict_items, predictor, train_head
+from toolmatch.training import HeadConfig, predict_each, train_head
 
 
 def verdict(criterion: int, passed: bool, detail: str) -> None:
@@ -118,7 +119,7 @@ def test_criterion_2_noiseless_recoverability():
     )
     trained = train_head(ds.visual, ds.catalog, config)
     items = ds.visual.items("test")
-    preds = list(predict_items(trained, ds.visual, items))
+    preds = list(predict_each(trained, ds.visual, items))
     truths = [ds.catalog.attributes_of(ds.visual.tool_of(i)) for i in items]
     attr = attribute_wise_accuracy(preds, truths).value
     labeled = [(ds.visual.tool_of(i), p) for i, p in zip(items, preds)]
@@ -152,7 +153,8 @@ def test_criterion_3_end_to_end_matching():
         "language", ds.scenario_embeddings.dim, batch_size=4, max_epochs=30,
     ))
     report = matching_accuracy(
-        MatchingBatch.gather(ds.trials, predictor(language, ds.scenario_embeddings), predictor(visual, ds.visual)),
+        MatchingBatch.gather(ds.trials, partial(predict_each, language, ds.scenario_embeddings),
+                             partial(predict_each, visual, ds.visual)),
         metric="cosine",
     )
     slot0 = sum(1 for t in ds.trials if t.target_position == 0) / len(ds.trials)
@@ -199,7 +201,7 @@ def test_criterion_4_scaling_trend():
             )
             trained = train_head(ds.scenario_embeddings, ds.catalog, config)
             items = ds.scenario_embeddings.items("test")
-            preds = list(predict_items(trained, ds.scenario_embeddings, items))
+            preds = list(predict_each(trained, ds.scenario_embeddings, items))
             truths = [
                 ds.catalog.attributes_of(ds.scenario_embeddings.tool_of(i)) for i in items
             ]
@@ -287,7 +289,7 @@ def test_criterion_5_ablation_discriminability():
     <= 60% while every other single-attribute mask keeps it >= 90%; each
     trial's selection is verified against a brute-force oracle."""
     catalog, trials, preds = build_graspability_pair(seed=2)
-    lookup = lambda iid: preds[iid]
+    lookup = lambda ids: np.array([preds[i] for i in ids])
     batch = MatchingBatch.gather(trials, lookup, lookup)
     values = {}
     oracle_mismatches = 0
@@ -406,7 +408,8 @@ def test_criterion_6_metric_oracles():
                 target_pos = rng.randint(10)
                 scenario = cand[target_pos]  # query an existing item's prediction
                 trials.append(MatchingTrial(trial_id, scenario, tuple(cand), target_pos))
-            got = matching_accuracy(MatchingBatch.gather(trials, preds.__getitem__, preds.__getitem__))
+            lookup = lambda ids: np.array([preds[i] for i in ids])
+            got = matching_accuracy(MatchingBatch.gather(trials, lookup, lookup))
             want = oracle_matching(trials, preds)
             if (got.numerator, got.denominator) != want:
                 mismatches.append((fixture_seed, "matching", (got.numerator, got.denominator), want))

@@ -7,9 +7,13 @@ import json
 import numpy as np
 import pytest
 
+from toolmatch import cli
 from toolmatch.cli import main
 from toolmatch.domain import ToolCatalog, ToolRecord
-from toolmatch.formats import load_catalog, load_checkpoint, save_catalog, sha256_file
+from toolmatch.formats import (load_catalog, load_checkpoint, read_embeddings, save_catalog, save_checkpoint,
+                               sha256_file)
+from toolmatch.nn import init_head
+from toolmatch.training import HeadConfig, TrainedHead, predict_attributes
 
 
 def run(capsys, *argv):
@@ -202,6 +206,25 @@ class TestTrain:
         b.pop("wall_time_s")
         assert a == b
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    @pytest.mark.parametrize("epochs", ["0", "2"])
+    def test_non_finite_learning_rate_is_runtime_error(self, capsys, dataset, tmp_path, rate, epochs):
+        # --epochs 0 never reaches the forward pass, where --epochs 2 would fail
+        # with an error about the parameters instead of the flag.
+        path = tmp_path / "head.json"
+        code, out, err = run(
+            capsys, "train", "--pathway", "visual",
+            "--embeddings", str(dataset / "visual.femb"),
+            "--manifest", str(dataset / "visual_manifest.jsonl"),
+            "--catalog", str(dataset / "catalog.csv"),
+            "--out", str(path), "--hidden", "16", f"--lr={rate}", "--epochs", epochs,
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert "learning_rate must be a positive finite number" in error["message"]
+        assert not path.exists()
+
     def test_missing_pathway_is_usage_error(self, capsys, dataset, tmp_path):
         with pytest.raises(SystemExit) as info:
             main([
@@ -323,6 +346,71 @@ class TestMatch:
             main(["match", *match_args(dataset, visual_checkpoint, language_checkpoint,
                                        "--metric", "dot")])
         assert info.value.code == 2
+
+
+class TestOnePredictionPerItem:
+    """``eval-attr`` and ``eval-class`` score each item with the bits its
+    one-item prediction has, as ``match`` does; a (n, d) batch rounds its
+    rows differently at this width."""
+
+    @pytest.mark.parametrize("command,metric", [
+        ("eval-attr", "attribute_wise_accuracy"), ("eval-class", "most_similar_class_accuracy"),
+    ])
+    def test_rows_equal_predict_attributes(self, capsys, tmp_path, monkeypatch, command, metric):
+        assert main(["gen-synth", "--tools", "10", "--preset", "small", "--images", "4,1", "--dv", "768",
+                     "--sigma", "1", "--seed", "4", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        config = HeadConfig.for_pathway("visual", 768)
+        trained = TrainedHead(head=init_head(config.layer_dims, 9), config=config,
+                              best_validation_mse=0.5, epochs_run=1)
+        save_checkpoint(trained, tmp_path / "visual.json")
+        seen = []
+
+        def spy(preds, *args, **kwargs):
+            seen.append(preds)
+            return original(preds, *args, **kwargs)
+
+        original = getattr(cli, metric)
+        monkeypatch.setattr(cli, metric, spy)
+        run_json(capsys, command, *eval_args(tmp_path, tmp_path / "visual.json", "--split", "train"))
+        (preds,) = seen
+        if command == "eval-class":
+            preds = [row for _, row in preds]
+        emb = read_embeddings(tmp_path / "visual.femb", tmp_path / "visual_manifest.jsonl")
+        items = emb.items("train")
+        assert len(preds) == len(items) == 40
+        for row, item in zip(preds, items):
+            assert row.tobytes() == predict_attributes(trained, emb, item).tobytes(), item
+
+
+class TestTrialItems:
+    """A trial that names an item its embedding file lacks is a FormatError
+    naming the trials file, the trial, the field and that embedding file."""
+
+    @pytest.mark.parametrize("command", [["match"], ["ablate", "--which", "matching"]])
+    @pytest.mark.parametrize("field,source", [
+        ("scenario_item_id", "scenarios.femb"), ("candidate_item_ids", "visual.femb"),
+    ])
+    def test_missing_item_names_trial_field_and_file(
+        self, capsys, dataset, visual_checkpoint, language_checkpoint, tmp_path, command, field, source
+    ):
+        rows = [json.loads(line) for line in (dataset / "trials.jsonl").read_text().splitlines()]
+        if field == "scenario_item_id":
+            rows[3][field] = 99999
+        else:
+            rows[3][field][2] = 99999
+        trials = tmp_path / "trials.jsonl"
+        trials.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        code, out, err = run(
+            capsys, *command, *match_args(dataset, visual_checkpoint, language_checkpoint),
+            "--trials", str(trials),
+        )
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormatError"
+        assert error["message"] == (
+            f"{trials}: trial {rows[3]['trial_id']}: {field}: item_id 99999 not in {dataset / source}"
+        )
 
 
 class TestAblate:

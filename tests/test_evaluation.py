@@ -21,9 +21,14 @@ from toolmatch.rng import SplitMix64
 from toolmatch.similarity import AblationMask, SimilarityError, rank_candidates, select_tool
 
 
-def match(trials, predict_scenario, predict_candidate, clamp=False, **kwargs):
+def match(trials, predict_scenarios, predict_candidates, clamp=False, **kwargs):
     """``matching_accuracy`` over the trials gathered through the two lookups."""
-    return matching_accuracy(MatchingBatch.gather(trials, predict_scenario, predict_candidate, clamp), **kwargs)
+    return matching_accuracy(MatchingBatch.gather(trials, predict_scenarios, predict_candidates, clamp), **kwargs)
+
+
+def rows_of(vectors):
+    """A batch lookup over an id -> vector dict: ids -> (len(ids), 13) rows."""
+    return lambda ids: np.array([vectors[i] for i in ids])
 
 
 ROUNDING_CASES = [
@@ -220,7 +225,7 @@ class TestMatching:
             v = np.full(13, 2.0)
             v[i % 13] = 7.0
             self.vectors[i] = v
-        self.lookup = lambda item_id: self.vectors[item_id]
+        self.lookup = rows_of(self.vectors)
 
     def test_correct_trial(self):
         trial = make_trial(0, 100, range(10), 0)
@@ -255,7 +260,7 @@ class TestMatching:
             v = np.full(13, 2.0)
             v[i % 13] = 7.0
             vectors[i] = v
-        lookup = lambda iid: vectors[iid]
+        lookup = rows_of(vectors)
         trials = [make_trial(7, 100, range(10), 0), make_trial(8, 100, [0] + list(range(10, 19)), 0)]
         report = match(trials, lookup, lookup)
         assert report.denominator == 2
@@ -288,7 +293,7 @@ class TestMatching:
         }
         for i in range(2, 10):
             vectors[i] = np.full(13, 1.0)
-        lookup = lambda iid: vectors[iid]
+        lookup = rows_of(vectors)
         trial = make_trial(0, 100, range(10), 0)
         unmasked = match([trial], lookup, lookup, metric="negative_euclidean")
         masked = match(
@@ -336,16 +341,14 @@ class TestBatchedEquivalence:
             target = candidates.index(special[t % 2]) if special else rng.randint(10)
             trials.append(make_trial(t, 100 + t % 10, candidates, target))
         self.trials = trials
-
-    def lookup(self, item_id):
-        return self.vectors[item_id]
+        self.lookup = rows_of(vectors)
 
     def reference_matching(self, metric, mask, clamp):
         """One rank_candidates call per trial, as the metric used to score."""
         rows, failed = [], []
         for trial in self.trials:
-            query = self.lookup(trial.scenario_item_id)
-            candidates = [(iid, self.lookup(iid)) for iid in trial.candidate_item_ids]
+            query = self.vectors[trial.scenario_item_id]
+            candidates = [(iid, self.vectors[iid]) for iid in trial.candidate_item_ids]
             if clamp:
                 query = clamp_vector(query)
                 candidates = [(iid, clamp_vector(v)) for iid, v in candidates]
@@ -404,6 +407,19 @@ class TestBatchedEquivalence:
             assert json.dumps(shared.to_dict()) == json.dumps(fresh.to_dict())
         assert batch.queries.tobytes() == kept[0].tobytes()
         assert batch.candidates.tobytes() == kept[1].tobytes()
+
+    def test_gather_predicts_sorted_distinct_ids_once(self):
+        calls = {"scenarios": [], "candidates": []}
+
+        def recording(kind):
+            def predict(ids):
+                calls[kind].append(ids.tolist())
+                return self.lookup(ids)
+            return predict
+
+        MatchingBatch.gather(self.trials, recording("scenarios"), recording("candidates"))
+        assert calls["scenarios"] == [sorted({t.scenario_item_id for t in self.trials})]
+        assert calls["candidates"] == [sorted({c for t in self.trials for c in t.candidate_item_ids})]
 
     def test_duplicates_resolve_to_lower_id(self):
         for trial in self.trials[:2]:

@@ -650,6 +650,17 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="disagree"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_in_config_echo(self, tmp_path, rate):
+        trained, _ = trained_fixture()
+        path = tmp_path / "head.json"
+        save_checkpoint(trained, path)
+        doc = json.loads(path.read_text())
+        doc["config"]["learning_rate"] = rate
+        path.write_text(json.dumps(doc))  # NaN / Infinity: Python's json reads them back
+        with pytest.raises(FormatError, match="invalid config echo: learning_rate"):
+            load_checkpoint(path)
+
     def test_non_finite_parameter_rejected(self, tmp_path):
         trained, _ = trained_fixture()
         path = tmp_path / "head.json"

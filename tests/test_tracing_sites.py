@@ -4,6 +4,8 @@ so renaming or dropping one fails here rather than only in a traced run."""
 
 from pathlib import Path
 
+import pytest
+
 TOOLBENCH = Path(__file__).resolve().parents[1] / "toolbench"
 
 
@@ -98,6 +100,43 @@ def test_matching_ablation_reaches_the_tracer(monkeypatch, tmp_path):
     assert totals["formats.load_checkpoint.calls"] == 2 and totals["formats.load_checkpoint.s"] > 0
     assert totals["nn.head_forward.calls"] == 2  # one stacked pass per head
     assert totals["nn.head_forward.rows"] == distinct
+
+
+@pytest.mark.parametrize("which", ["class", "attr"])
+def test_item_ablation_reaches_the_tracer(monkeypatch, tmp_path, which):
+    """``ablate --which class`` and ``--which attr`` predict the split's items
+    in one stacked pass through the patched ``head_forward``, so the
+    benchmark's ``sweep`` per-layer view still sees the prediction work."""
+    monkeypatch.syspath_prepend(str(TOOLBENCH))
+    import tracing
+    from toolmatch import cli
+    from toolmatch.formats import read_embeddings, save_checkpoint
+    from toolmatch.nn import init_head
+    from toolmatch.training import HeadConfig, TrainedHead
+
+    data = tmp_path / "data"
+    assert cli.main(["gen-synth", "--tools", "12", "--preset", "small", "--images", "3,2", "--dv", "16",
+                     "--dl", "16", "--seed", "3", "--out", str(data)]) == 0
+    config = HeadConfig.for_pathway("visual", 16, hidden_dims=(16,))
+    save_checkpoint(TrainedHead(head=init_head(config.layer_dims, 1), config=config,
+                                best_validation_mse=0.5, epochs_run=1), tmp_path / "visual.json")
+    items = read_embeddings(data / "visual.femb", data / "visual_manifest.jsonl").items("test")
+
+    tracer = tracing.Tracer()
+    tracing.install_layer_spans(tracer)
+    tracer.install()
+    try:
+        code = cli.main([
+            "ablate", "--which", which, "--checkpoint", str(tmp_path / "visual.json"),
+            "--embeddings", str(data / "visual.femb"), "--manifest", str(data / "visual_manifest.jsonl"),
+            "--catalog", str(data / "catalog.csv"), "--out", str(tmp_path / "report.json"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    totals = tracer.totals(rounds=1)
+    assert totals["nn.head_forward.calls"] == 1
+    assert totals["nn.head_forward.rows"] == len(items) == 24
 
 
 def test_gen_synth_reaches_the_tracer(monkeypatch, tmp_path):

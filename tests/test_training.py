@@ -16,7 +16,6 @@ from toolmatch.training import (
     TrainingDivergedError,
     predict_attributes,
     predict_each,
-    predict_items,
     predictor,
     split_validation,
     train_head,
@@ -88,8 +87,9 @@ class TestHeadConfig:
             small_config(pathway="audio")
         with pytest.raises(ValueError, match="must be 13"):
             small_config(layer_dims=(8, 16, 12))
-        with pytest.raises(ValueError, match="learning_rate"):
-            small_config(learning_rate=0.0)
+        for rate in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="learning_rate must be a positive finite number"):
+                small_config(learning_rate=rate)
         with pytest.raises(ValueError, match="batch_size"):
             small_config(batch_size=0)
         with pytest.raises(ValueError, match="patience"):
@@ -212,7 +212,7 @@ class TestTrainHead:
         cfg = small_config(max_epochs=300, learning_rate=3e-3)
         trained = train_head(emb, catalog, cfg)
         assert trained.best_validation_mse < 0.01
-        preds = predict_items(trained, emb, emb.items("test"))
+        preds = predict_each(trained, emb, emb.items("test"))
         truth = np.stack([catalog.attributes_of(emb.tool_of(i)) for i in emb.items("test")])
         assert float(np.abs(preds - truth).max()) < 0.5
 
@@ -283,16 +283,6 @@ class TestTrainHead:
 
 
 class TestPrediction:
-    def test_predict_items_batches_rows(self):
-        emb, catalog = toy_dataset()
-        trained = train_head(emb, catalog, small_config(max_epochs=3))
-        ids = emb.items("train")[:4]
-        batch = predict_items(trained, emb, ids)
-        assert batch.shape == (4, 13)
-        for row, iid in zip(batch, ids):
-            single = predict_attributes(trained, emb, iid)
-            assert np.allclose(row, single, rtol=1e-12, atol=1e-14)
-
     def test_predictor_caches(self):
         emb, catalog = toy_dataset()
         trained = train_head(emb, catalog, small_config(max_epochs=3))
@@ -300,12 +290,6 @@ class TestPrediction:
         first = predict(0)
         assert predict(0) is first
         assert np.allclose(first, predict_attributes(trained, emb, 0), rtol=0, atol=0)
-
-    def test_predict_items_empty(self):
-        emb, catalog = toy_dataset()
-        trained = train_head(emb, catalog, small_config(max_epochs=0))
-        out = predict_items(trained, emb, [])
-        assert out.shape == (0, 13)
 
 
 def random_head(dims, n, seed=5):
