@@ -477,6 +477,12 @@ def _encode_array(arr: np.ndarray) -> list[str]:
     return [repr(float(v)) for v in arr.reshape(-1)]
 
 
+# One parameter array as ``json.dumps(doc, indent=1)`` writes it in its group:
+# the name, then the array's quoted strings joined by ``_ARRAY_SEPARATOR``.
+_ARRAY_BLOCK = '   "%s": [\n    "%s"\n   ]'
+_ARRAY_SEPARATOR = '",\n    "'
+
+
 def _decimal_strings(group: dict, key: str, size: int, where: str) -> list:
     """The field's list of ``size`` values; ``_parse_decimals`` checks that each is a string."""
     values = _field(group, key, list, where)
@@ -509,12 +515,20 @@ def _parse_decimals(strings: list) -> np.ndarray | None:
 
 
 def save_checkpoint(trained: TrainedHead, path) -> None:
-    """Serialize a trained head to JSON with bit-exact parameter strings."""
+    """Serialize a trained head to JSON with bit-exact parameter strings.
+
+    The text is ``json.dumps(doc, indent=1)`` of the whole document, with
+    ``"parameters"`` last. Indentation sends ``json.dumps`` to its pure-Python
+    encoder, so only the small fields go through it; each parameter array is
+    joined into its block from ``_ARRAY_BLOCK``, as a ``repr`` string needs no
+    JSON escaping.
+    """
     head = trained.head
     params = head.parameters()
-    groups = [dict(zip(_PARAMETER_NAMES, map(_encode_array, params[4 * k:4 * k + 4])))
-              for k in range(len(head.layer_dims) - 1)]
-    doc = {
+    groups = ["  {\n" + ",\n".join(_ARRAY_BLOCK % (name, _ARRAY_SEPARATOR.join(_encode_array(p)))
+                                    for name, p in zip(_PARAMETER_NAMES, params[4 * k:4 * k + 4]))
+              + "\n  }" for k in range(len(head.layer_dims) - 1)]
+    fields = {
         "format_version": CHECKPOINT_VERSION,
         "pathway": trained.config.pathway,
         "layer_dims": list(head.layer_dims),
@@ -522,9 +536,9 @@ def save_checkpoint(trained: TrainedHead, path) -> None:
         "config": trained.config.to_dict(),
         "best_validation_mse": repr(float(trained.best_validation_mse)),
         "epochs_run": trained.epochs_run,
-        "parameters": groups,
     }
-    Path(path).write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    text = json.dumps(fields, indent=1)[:-2] + ',\n "parameters": [\n' + ",\n".join(groups) + "\n ]\n}\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # JSON type of each field of a checkpoint's config echo (HeadConfig.to_dict).
@@ -585,11 +599,18 @@ def load_checkpoint(path) -> TrainedHead:
     best = _parse_decimals([_field(doc, "best_validation_mse", str, where)])
     if best is None:
         raise FormatError(f"{path}: best_validation_mse is not a decimal string")
+    if not best[0] >= 0.0:  # nan fails this too; inf is what an untrained head saves
+        raise FormatError(f"{path}: best_validation_mse must be a non-negative MSE or inf, "
+                          f"got {doc['best_validation_mse']!r}")
+    epochs_run = _field(doc, "epochs_run", int, where)
+    if not 0 <= epochs_run <= config.max_epochs:
+        raise FormatError(f"{path}: epochs_run {epochs_run} not in [0, {config.max_epochs}] "
+                          "(the config's max_epochs)")
     return TrainedHead(
         head=MlpHead(dims, np.concatenate(parts)),
         config=config,
         best_validation_mse=float(best[0]),
-        epochs_run=_field(doc, "epochs_run", int, where),
+        epochs_run=epochs_run,
         training_log=[],
     )
 

@@ -116,12 +116,19 @@ def init_head(layer_dims, seed: int) -> MlpHead:
 
 
 def _layer_norm_batch(z: np.ndarray, gamma: np.ndarray, beta: np.ndarray):
-    """Layer norm over the last axis. Returns (xhat, inv_std, y) with shapes (..., H), (..., 1), (..., H)."""
-    mean = z.mean(axis=-1, keepdims=True)
-    var = z.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPSILON)
-    xhat = (z - mean) * inv_std
-    return xhat, inv_std, gamma * xhat + beta
+    """Layer norm over the last axis. Returns (xhat, inv_std, y) with shapes (..., H), (..., 1), (..., H).
+
+    The mean and population variance are ``np.add.reduce`` sums divided by
+    the width, which are the operations ``z.mean`` and ``z.var`` run, in the
+    same order, without their Python wrappers. ``z`` is left unchanged.
+    """
+    n = z.shape[-1]
+    xhat = z - np.add.reduce(z, axis=-1, keepdims=True) / n  # the deviation, normalized in place below
+    inv_std = 1.0 / np.sqrt(np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + LAYER_NORM_EPSILON)
+    xhat *= inv_std
+    y = gamma * xhat
+    y += beta
+    return xhat, inv_std, y
 
 
 def _as_batch(x: np.ndarray, input_dim: int) -> tuple[np.ndarray, bool]:
@@ -151,7 +158,7 @@ def head_forward(head: MlpHead, x: np.ndarray) -> np.ndarray:
     else:
         batch, squeeze = _as_batch(x, head.layer_dims[0])
     out = _forward(head, batch)[0]
-    if not np.isfinite(out).all():
+    if not np.logical_and.reduce(np.isfinite(out), axis=None):
         raise FloatingPointError("non-finite value in forward pass (diverged parameters?)")
     return out[0] if squeeze else out
 
@@ -215,10 +222,11 @@ def _loss_and_grads(head: MlpHead, x: np.ndarray, targets: np.ndarray):
         np.sum(d_y, axis=0, out=grads[4 * i + 3])  # beta
         d_xhat = d_y * params[4 * i + 2]
         # Layer-norm Jacobian with population variance.
+        width = d_xhat.shape[1]
         d_z = inv_std * (
             d_xhat
-            - d_xhat.mean(axis=1, keepdims=True)
-            - xhat * (d_xhat * xhat).mean(axis=1, keepdims=True)
+            - np.add.reduce(d_xhat, axis=1, keepdims=True) / width
+            - xhat * (np.add.reduce(d_xhat * xhat, axis=1, keepdims=True) / width)
         )
         np.matmul(d_z.T, inputs[i], out=grads[4 * i])  # weights
         np.sum(d_z, axis=0, out=grads[4 * i + 1])  # bias
@@ -338,8 +346,9 @@ def gradcheck(head: MlpHead, x: np.ndarray, targets: np.ndarray, h: float = 1e-5
         ``normalized``."""
         while j < n_hidden:
             if not normalized:
-                v -= v.mean(axis=-1, keepdims=True)
-                v *= 1.0 / np.sqrt((v * v).mean(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
+                width = v.shape[-1]
+                v -= np.add.reduce(v, axis=-1, keepdims=True) / width
+                v *= 1.0 / np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True) / width + LAYER_NORM_EPSILON)
                 v *= params[4 * j + 2]
                 v += params[4 * j + 3]
             np.maximum(v, 0.0, out=v)

@@ -134,11 +134,11 @@ def score_batch(
     if metric == "negative_euclidean":
         return -np.linalg.norm(rows - queries[:, None, :], axis=-1), spoiled
     # Both norms take the same reduction, so cosine stays exactly symmetric.
-    q_norm = np.sqrt((queries * queries).sum(axis=-1))
-    norms = np.sqrt((rows * rows).sum(axis=-1))
-    dots = (rows * queries[:, None, :]).sum(axis=-1)
+    q_norm = np.sqrt(np.add.reduce(queries * queries, axis=-1))
+    norms = np.sqrt(np.add.reduce(rows * rows, axis=-1))
+    dots = np.add.reduce(rows * queries[:, None, :], axis=-1)
     denominator = q_norm[:, None] * norms
-    if not (q_norm.all() and norms.all()):
+    if not (np.logical_and.reduce(q_norm, axis=None) and np.logical_and.reduce(norms, axis=None)):
         zero_rows = norms == 0.0
         spoiled = np.where(q_norm == 0.0, 0, np.where(zero_rows.any(axis=-1), zero_rows.argmax(axis=-1), -1))
         denominator[spoiled >= 0] = 1.0  # spoiled rows divide without warnings

@@ -314,6 +314,24 @@ class TestEval:
         payload = json.loads(err)
         assert "dimension" in payload["error"]["message"]
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("best_validation_mse", "nan", "best_validation_mse must be a non-negative MSE or inf, got 'nan'"),
+        ("best_validation_mse", "-1.5", "best_validation_mse must be a non-negative MSE or inf, got '-1.5'"),
+        ("epochs_run", -3, "epochs_run -3 not in [0, 200]"),
+    ])
+    def test_impossible_provenance_is_runtime_error(
+        self, capsys, dataset, visual_checkpoint, tmp_path, key, value, message
+    ):
+        doc = json.loads(visual_checkpoint.read_text())
+        doc[key] = value
+        path = tmp_path / "visual.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval-attr", *eval_args(dataset, path))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "FormatError"
+        assert error["message"].startswith(f"{path}: {message}")
+
 
 class TestMatch:
     def test_end_to_end_cosine(self, capsys, dataset, visual_checkpoint, language_checkpoint):

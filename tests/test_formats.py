@@ -714,6 +714,45 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="invalid JSON"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("dims", [(6, 13), (6, 9, 8, 7, 13)])
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_bytes_equal_indented_json_dumps(self, tmp_path, dims, seed):
+        """The writer's text is ``json.dumps(doc, indent=1)`` of the whole
+        document, with or without hidden layers."""
+        config = HeadConfig(pathway="language", layer_dims=dims, learning_rate=5e-5,
+                            batch_size=4, max_epochs=9, seed=seed)
+        trained = TrainedHead(head=init_head(dims, seed), config=config,
+                              best_validation_mse=0.0123, epochs_run=9)
+        params = trained.head.parameters()
+        doc = {
+            "format_version": 1, "pathway": "language", "layer_dims": list(dims), "seed": seed,
+            "config": config.to_dict(), "best_validation_mse": repr(0.0123), "epochs_run": 9,
+            "parameters": [
+                {name: [repr(float(v)) for v in p.reshape(-1)]
+                 for name, p in zip(("weights", "bias", "gamma", "beta"), params[4 * k:4 * k + 4])}
+                for k in range(len(dims) - 1)
+            ],
+        }
+        path = tmp_path / "head.json"
+        save_checkpoint(trained, path)
+        assert path.read_bytes() == (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("best_validation_mse", "nan", "best_validation_mse must be a non-negative MSE or inf, got 'nan'"),
+        ("best_validation_mse", "-1.5", "best_validation_mse must be a non-negative MSE or inf, got '-1.5'"),
+        ("epochs_run", -3, "epochs_run -3 not in [0, 4]"),
+        ("epochs_run", 5, "epochs_run 5 not in [0, 4]"),
+    ])
+    def test_impossible_provenance_rejected(self, tmp_path, key, value, message):
+        trained, _ = trained_fixture()
+        path = tmp_path / "head.json"
+        save_checkpoint(trained, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_checkpoint(path)
+
     def test_parameters_stored_as_decimal_strings(self, tmp_path):
         trained, _ = trained_fixture()
         path = tmp_path / "head.json"

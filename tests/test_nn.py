@@ -177,6 +177,27 @@ class TestLayerNorm:
             expected = 1.0 / (1.0 + LAYER_NORM_EPSILON / var_x)
             assert abs(float(y.var()) - expected) < 1e-6
 
+    @pytest.mark.parametrize("width", [13, 64, 128, 256, 1000])
+    def test_bytes_equal_numpy_mean_and_var(self, width):
+        """The wrapper-free reductions give the bytes of ``z.mean``/``z.var``,
+        for 2-D batches and (n, 1, H) stacks, constant rows and rows far from
+        zero included, and leave ``z`` as it was (backprop caches it)."""
+        rng = np.random.default_rng(width)
+        gamma, beta = rng.standard_normal(width), rng.standard_normal(width)
+        for batch in (1, 2, 3, 4, 37, 256):
+            z = rng.standard_normal((batch, width)) * rng.uniform(0.01, 100.0, (batch, 1))
+            z[::3] += 1e6
+            z[1::5] = rng.standard_normal((len(z[1::5]), 1))  # constant rows: zero variance
+            for stack in (z, z[:, None, :]):
+                before = stack.copy()
+                mean = stack.mean(axis=-1, keepdims=True)
+                inv_std = 1.0 / np.sqrt(stack.var(axis=-1, keepdims=True) + LAYER_NORM_EPSILON)
+                xhat = (stack - mean) * inv_std
+                got = _layer_norm_batch(stack, gamma, beta)
+                for a, b in zip(got, (xhat, inv_std, gamma * xhat + beta)):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (width, batch, stack.ndim)
+                assert stack.tobytes() == before.tobytes()
+
     def test_dimension_mismatch(self):
         # A norm must be as wide as the layer it follows: a 4-wide norm after
         # a 5-wide layer leaves the vector two values short.

@@ -165,3 +165,41 @@ def test_gen_synth_reaches_the_tracer(monkeypatch, tmp_path):
         assert totals[f"{name}.s"] > 0, name
     assert totals["synthetic.generate.calls"] == totals["synthetic.write_dataset.calls"] == 1
     assert totals["formats.write_embeddings.calls"] == 2
+
+
+def test_select_path_reaches_the_tracer(monkeypatch):
+    """The benchmark's ``select`` request predicts through the patched
+    ``training.predictor`` (which reaches ``head_forward`` through
+    ``predict_attributes``) and ranks through the patched ``rank_candidates``
+    that ``select_tool`` looks up, so its per-layer view counts every miss,
+    hit and ranking."""
+    monkeypatch.syspath_prepend(str(TOOLBENCH))
+    import numpy as np
+    import tracing
+    from toolmatch import similarity, training
+    from toolmatch.domain import EmbeddingRecord, EmbeddingSet
+    from toolmatch.nn import init_head
+
+    config = training.HeadConfig.for_pathway("language", 6, hidden_dims=(8, 7))
+    trained = training.TrainedHead(head=init_head(config.layer_dims, 2), config=config,
+                                   best_validation_mse=0.5, epochs_run=1)
+    items = EmbeddingSet([EmbeddingRecord(i, i % 3, "test", np.arange(6.0) + i) for i in range(12)])
+    requests = [(0, [4, 5, 6]), (1, [4, 7, 8]), (0, [5, 9, 10])]  # scenario id, candidate ids
+
+    tracer = tracing.Tracer()
+    tracing.install_layer_spans(tracer)
+    tracer.install()
+    try:
+        predict = training.predictor(trained, items)
+        chosen = [similarity.select_tool(predict(sid), [(c, predict(c)) for c in cands])[0]
+                  for sid, cands in requests]
+    finally:
+        tracer.uninstall()
+    assert all(c in cands for c, (_, cands) in zip(chosen, requests))
+    totals = tracer.totals(rounds=1)
+    calls = sum(1 + len(cands) for _, cands in requests)
+    distinct = len({i for sid, cands in requests for i in (sid, *cands)})
+    assert totals["training.predictor.misses"] == totals["nn.head_forward.calls"] == distinct == 9
+    assert totals["nn.head_forward.rows"] == distinct
+    assert totals["training.predictor.hits"] == calls - distinct
+    assert totals["similarity.rank_candidates.calls"] == len(requests)
