@@ -14,7 +14,6 @@ from toolmatch.domain import (
     MatchingTrial,
     ToolCatalog,
     ToolRecord,
-    canonical_attribute_order,
 )
 
 __all__ = [
@@ -24,7 +23,6 @@ __all__ = [
     "MatchingTrial",
     "ToolCatalog",
     "ToolRecord",
-    "canonical_attribute_order",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from toolmatch.domain import canonical_attribute_order
+from toolmatch.domain import ATTRIBUTE_NAMES
 from toolmatch.evaluation import (
     MatchingBatch,
     ablation_sweep,
@@ -73,7 +73,7 @@ def _parse_mask(text: str | None) -> AblationMask | None:
         return AblationMask.from_names(n.strip() for n in text.split(","))
     except KeyError as exc:
         raise ValueError(
-            f"bad --mask: {exc.args[0]}; valid names: {', '.join(canonical_attribute_order())}"
+            f"bad --mask: {exc.args[0]}; valid names: {', '.join(ATTRIBUTE_NAMES)}"
         ) from None
 
 
@@ -325,11 +325,10 @@ def _evaluator(args):
     )
     pred_rows = predict_each(trained, embeddings, items)
     if args.which == "attr":
-        preds = list(pred_rows)
         truths = [catalog.attributes_of(embeddings.tool_of(i)) for i in items]
 
         def evaluate(mask):
-            return attribute_wise_accuracy(preds, truths, mask)
+            return attribute_wise_accuracy(pred_rows, truths, mask)
 
     else:
         labeled = [(embeddings.tool_of(i), row) for i, row in zip(items, pred_rows)]

@@ -8,7 +8,7 @@ attributes in exactly this order; nothing may permute it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,11 +38,6 @@ _ATTRIBUTE_INDEX: dict[str, int] = {name: i for i, name in enumerate(ATTRIBUTE_N
 VALID_SPLITS = ("train", "test")
 
 
-def canonical_attribute_order() -> list[str]:
-    """Return the 13 attribute names in registry order (stable across runs)."""
-    return list(ATTRIBUTE_NAMES)
-
-
 def attribute_index(name: str) -> int:
     """Registry index of an attribute name; raises KeyError for unknown names."""
     try:
@@ -53,12 +48,8 @@ def attribute_index(name: str) -> int:
         ) from None
 
 
-def validate_attribute_vector(values, ground_truth: bool = False) -> np.ndarray:
-    """Validate and coerce a 13-entry attribute vector to a float64 array.
-
-    Ground-truth vectors must lie on the 1-7 rating scale; model predictions
-    are only checked for length and finiteness (they may transiently exceed
-    the scale before any clamping decision is made downstream).
+def validate_attribute_vector(values) -> np.ndarray:
+    """Validate and coerce a 13-entry ground-truth vector on the 1-7 rating scale to float64.
 
     Raises ValueError naming the first violating index and the reason.
     """
@@ -71,15 +62,14 @@ def validate_attribute_vector(values, ground_truth: bool = False) -> np.ndarray:
     if not finite.all():
         idx = int(np.argmin(finite))
         raise ValueError(f"attribute vector has non-finite value at index {idx}: {arr[idx]}")
-    if ground_truth:
-        in_range = (arr >= RATING_MIN) & (arr <= RATING_MAX)
-        if not in_range.all():
-            idx = int(np.argmin(in_range))
-            raise ValueError(
-                f"attribute vector value out of range at index {idx} "
-                f"({ATTRIBUTE_NAMES[idx]}): {arr[idx]} not in "
-                f"[{RATING_MIN:g}, {RATING_MAX:g}]"
-            )
+    in_range = (arr >= RATING_MIN) & (arr <= RATING_MAX)
+    if not in_range.all():
+        idx = int(np.argmin(in_range))
+        raise ValueError(
+            f"attribute vector value out of range at index {idx} "
+            f"({ATTRIBUTE_NAMES[idx]}): {arr[idx]} not in "
+            f"[{RATING_MIN:g}, {RATING_MAX:g}]"
+        )
     return arr
 
 
@@ -94,9 +84,7 @@ class ToolRecord:
     def __post_init__(self):
         if self.tool_id < 0:
             raise ValueError(f"tool_id must be non-negative, got {self.tool_id}")
-        object.__setattr__(
-            self, "attributes", validate_attribute_vector(self.attributes, ground_truth=True)
-        )
+        object.__setattr__(self, "attributes", validate_attribute_vector(self.attributes))
 
 
 class ToolCatalog:
@@ -245,23 +233,11 @@ class EmbeddingSet:
     def __len__(self) -> int:
         return len(self.item_ids)
 
-    def __contains__(self, item_id: int) -> bool:
-        return item_id in self._row_of
-
     def _row(self, item_id: int) -> int:
         try:
             return self._row_of[item_id]
         except KeyError:
             raise KeyError(f"item_id {item_id} not in embedding set") from None
-
-    def record(self, item_id: int) -> EmbeddingRecord:
-        row = self._row(item_id)
-        return EmbeddingRecord(
-            item_id=int(self.item_ids[row]),
-            tool_id=int(self.tool_ids[row]),
-            split=VALID_SPLITS[self.split_codes[row]],
-            embedding=self.vectors[row],
-        )
 
     def vector(self, item_id: int) -> np.ndarray:
         """The item's row of ``vectors``: a read-only view."""
@@ -269,10 +245,6 @@ class EmbeddingSet:
 
     def tool_of(self, item_id: int) -> int:
         return int(self.tool_ids[self._row(item_id)])
-
-    def ascending_rows(self) -> np.ndarray | None:
-        """Row order that sorts the item ids, or None when they already ascend."""
-        return None if self._ascending else np.argsort(self.item_ids, kind="stable")
 
     def items(self, split: str | None = None) -> list[int]:
         """Item ids in ascending order, optionally restricted to one split."""
@@ -357,20 +329,14 @@ class MatchingTrial:
         return self.candidate_item_ids[self.target_position]
 
 
-def check_trial(trial: MatchingTrial, scenario_tool: Mapping[int, int] | EmbeddingSet,
-                candidate_tool: Mapping[int, int] | EmbeddingSet) -> None:
-    """Cross-check a trial against the manifests that resolve its item ids.
+def check_trial(trial: MatchingTrial, scenarios: EmbeddingSet, candidates: EmbeddingSet) -> None:
+    """Cross-check a trial against the sets that resolve its item ids.
 
     The candidate at target_position must share the scenario's tool; the nine
     distractors must not.
     """
-    def _tool(src, item_id):
-        if isinstance(src, EmbeddingSet):
-            return src.tool_of(item_id)
-        return src[item_id]
-
-    want = _tool(scenario_tool, trial.scenario_item_id)
-    got = _tool(candidate_tool, trial.target_item_id)
+    want = scenarios.tool_of(trial.scenario_item_id)
+    got = candidates.tool_of(trial.target_item_id)
     if got != want:
         raise ValueError(
             f"trial {trial.trial_id}: target item {trial.target_item_id} has tool_id {got}, "
@@ -379,7 +345,7 @@ def check_trial(trial: MatchingTrial, scenario_tool: Mapping[int, int] | Embeddi
     for pos, iid in enumerate(trial.candidate_item_ids):
         if pos == trial.target_position:
             continue
-        tid = _tool(candidate_tool, iid)
+        tid = candidates.tool_of(iid)
         if tid == want:
             raise ValueError(
                 f"trial {trial.trial_id}: distractor item {iid} at position {pos} "

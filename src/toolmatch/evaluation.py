@@ -57,17 +57,13 @@ class EvaluationReport:
         return out
 
 
-def round_half_up_clamped(x: float | np.ndarray) -> int | np.ndarray:
-    """Clamp to the 1-7 rating scale, then round to nearest with halves going up.
-
-    Accepts a scalar (returns an int) or an array (returns an int64 array).
-    """
+def round_half_up_clamped(x: np.ndarray) -> np.ndarray:
+    """Clamp to the 1-7 rating scale, then round to nearest with halves going up, as int64."""
     a = np.asarray(x, dtype=np.float64)
     bad = a[~np.isfinite(a)]
     if bad.size:
         raise ValueError(f"cannot round non-finite value {bad[0]}")
-    out = np.floor(np.clip(a, RATING_MIN, RATING_MAX) + 0.5).astype(np.int64)
-    return int(out) if out.ndim == 0 else out
+    return np.floor(np.clip(a, RATING_MIN, RATING_MAX) + 0.5).astype(np.int64)
 
 
 def clamp_vector(v: np.ndarray) -> np.ndarray:
@@ -76,8 +72,8 @@ def clamp_vector(v: np.ndarray) -> np.ndarray:
 
 
 def attribute_wise_accuracy(
-    preds: Sequence[np.ndarray],
-    truths: Sequence[np.ndarray],
+    preds: np.ndarray | Sequence[np.ndarray],
+    truths: np.ndarray | Sequence[np.ndarray],
     mask: AblationMask | None = None,
 ) -> EvaluationReport:
     """Fraction of (sample, attribute) cells where the rounded prediction
@@ -88,7 +84,7 @@ def attribute_wise_accuracy(
     """
     if len(preds) != len(truths):
         raise ValueError(f"got {len(preds)} predictions but {len(truths)} truths")
-    if not preds:
+    if len(preds) == 0:
         raise ValueError("need at least one sample")
     pred_mat = np.asarray(preds, dtype=np.float64)
     if pred_mat.shape[1] != NUM_ATTRIBUTES:

@@ -32,7 +32,6 @@ import numpy as np
 from toolmatch.domain import (
     ATTRIBUTE_NAMES,
     NUM_ATTRIBUTES,
-    EmbeddingRecord,
     EmbeddingSet,
     MatchingTrial,
     ScenarioRecord,
@@ -294,35 +293,19 @@ def save_catalog(catalog: ToolCatalog, path) -> None:
 _MANIFEST_LINE = '{"item_id":%d,"tool_id":%d,"split":"%s"}\n'  # json.dumps(..., separators=(",", ":"))
 
 
-def write_embeddings(embeddings: EmbeddingSet | Sequence[EmbeddingRecord], path, manifest_path) -> None:
-    """Write embeddings as little-endian binary plus a JSONL split manifest.
+def write_embeddings(embeddings: EmbeddingSet, path, manifest_path) -> None:
+    """Write a set as little-endian binary plus a JSONL split manifest, rows in the set's order.
 
-    A set is written in ascending item id order, a sequence of records in
-    its own order (an empty one gives a header-only file).
+    ``read_embeddings`` keeps the file's order, so writing back a set it read
+    gives the same bytes.
     """
-    if isinstance(embeddings, EmbeddingSet):
-        order = embeddings.ascending_rows()
-    elif embeddings:
-        try:
-            embeddings, order = EmbeddingSet(embeddings), None
-        except ValueError as exc:
-            raise FormatError(str(exc)) from None
-    else:
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<4sIIQ", EMBEDDING_MAGIC, EMBEDDING_VERSION, 0, 0))
-        Path(manifest_path).write_text("", encoding="utf-8")
-        return
-    ids, tools, codes, vectors = (embeddings.item_ids, embeddings.tool_ids,
-                                  embeddings.split_codes, embeddings.vectors)
-    rank = slice(None)
-    if order is not None:
-        ids, tools, codes, rank = ids[order], tools[order], codes[order], np.argsort(order)
+    ids, vectors = embeddings.item_ids, embeddings.vectors
     count, dim = vectors.shape
     block = np.empty(count, dtype=[("item_id", "<u8"), ("vec", "<f4", (dim,))])
     block["item_id"] = ids
-    block["vec"][rank] = vectors  # scattered into place: no sorted copy of the matrix
-    names = [VALID_SPLITS[c] for c in codes.tolist()]
-    lines = [_MANIFEST_LINE % row for row in zip(ids.tolist(), tools.tolist(), names)]
+    block["vec"] = vectors
+    names = [VALID_SPLITS[c] for c in embeddings.split_codes.tolist()]
+    lines = [_MANIFEST_LINE % row for row in zip(ids.tolist(), embeddings.tool_ids.tolist(), names)]
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sIIQ", EMBEDDING_MAGIC, EMBEDDING_VERSION, dim, count))
         block.tofile(fh)

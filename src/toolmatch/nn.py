@@ -37,6 +37,8 @@ BLOCK_ELEMENTS = 1 << 20
 # Elements per block of an Adam step: each step runs in two scratch blocks of
 # this many float64 values, so its temporaries stay in cache.
 ADAM_CHUNK = 32768
+# Adam's moment decay rates and denominator guard.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(eq=False)
@@ -255,19 +257,13 @@ class AdamState:
     learning_rate: float
     first_moment: np.ndarray
     second_moment: np.ndarray
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step_count: int = 0
 
     @classmethod
-    def for_params(cls, vector: np.ndarray, learning_rate: float,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, vector: np.ndarray, learning_rate: float) -> "AdamState":
         if learning_rate < 0:
             raise ValueError(f"learning rate must be non-negative, got {learning_rate}")
-        if not (0.0 < beta1 < 1.0 and 0.0 < beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in (0, 1)")
-        return cls(learning_rate, np.zeros_like(vector), np.zeros_like(vector), beta1, beta2, eps)
+        return cls(learning_rate, np.zeros_like(vector), np.zeros_like(vector))
 
 
 def adam_update(vector: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
@@ -286,7 +282,7 @@ def adam_update(vector: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         raise ValueError("parameter, gradient and moments must be C-contiguous")
     state.step_count += 1
     t = state.step_count
-    b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+    b1, b2, lr, eps = ADAM_BETA1, ADAM_BETA2, state.learning_rate, ADAM_EPS
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
     size = min(ADAM_CHUNK, vector.size)

@@ -89,9 +89,6 @@ class AblationMask:
         return bool(self.removed)
 
 
-EMPTY_MASK = AblationMask()
-
-
 def apply_mask(v: np.ndarray, mask: AblationMask | None) -> np.ndarray:
     """Drop the masked attribute dimensions (the last axis), preserving survivor order."""
     v = np.asarray(v, dtype=np.float64)

@@ -558,14 +558,14 @@ def test_criterion_8_similarity_invariants():
 def test_criterion_9_format_robustness(tmp_path):
     """Corrupted inputs are rejected with structured errors; a checkpoint
     round-trip preserves predictions bit for bit."""
-    from toolmatch.domain import EmbeddingRecord
+    from toolmatch.domain import EmbeddingRecord, EmbeddingSet
 
     failures = []
 
     emb_path, man_path = tmp_path / "e.femb", tmp_path / "m.jsonl"
     write_embeddings(
-        [EmbeddingRecord(0, 0, "train", np.arange(4.0)),
-         EmbeddingRecord(1, 0, "test", np.ones(4))],
+        EmbeddingSet([EmbeddingRecord(0, 0, "train", np.arange(4.0)),
+                      EmbeddingRecord(1, 0, "test", np.ones(4))]),
         emb_path, man_path,
     )
     emb_path.write_bytes(emb_path.read_bytes()[:-3])

@@ -17,7 +17,6 @@ from toolmatch.domain import (
     ToolCatalog,
     ToolRecord,
     attribute_index,
-    canonical_attribute_order,
     check_trial,
     validate_attribute_vector,
 )
@@ -37,14 +36,16 @@ class TestRegistry:
 
     def test_canonical_order(self):
         # Physical, then functional, then psychological blocks.
-        assert canonical_attribute_order() == [
+        assert ATTRIBUTE_NAMES == (
             "elongation", "spiky", "size", "smoothness", "texturedness", "hardness",
             "graspability", "hand_relatedness", "force_requirement", "body_extension",
             "threatness", "valence", "arousal",
-        ]
+        )
 
     def test_order_is_stable(self):
-        assert canonical_attribute_order() == canonical_attribute_order()
+        # A tuple cannot be reordered in place, and every index follows it.
+        assert isinstance(ATTRIBUTE_NAMES, tuple)
+        assert [attribute_index(name) for name in ATTRIBUTE_NAMES] == list(range(NUM_ATTRIBUTES))
 
     def test_attribute_index(self):
         assert attribute_index("elongation") == 0
@@ -58,7 +59,7 @@ class TestRegistry:
 
 class TestValidateAttributeVector:
     def test_valid_ground_truth(self):
-        out = validate_attribute_vector([1.0] * 13, ground_truth=True)
+        out = validate_attribute_vector([1.0] * 13)
         assert out.dtype == np.float64
         assert out.shape == (13,)
 
@@ -76,16 +77,11 @@ class TestValidateAttributeVector:
         bad = [4.0] * 13
         bad[2] = 7.3
         with pytest.raises(ValueError, match=r"index 2 \(size\).*7\.3"):
-            validate_attribute_vector(bad, ground_truth=True)
-
-    def test_prediction_may_exceed_scale(self):
-        loose = [9.0] + [0.0] * 12
-        out = validate_attribute_vector(loose, ground_truth=False)
-        assert out[0] == 9.0
+            validate_attribute_vector(bad)
 
     def test_bounds_inclusive(self):
-        validate_attribute_vector([1.0] * 13, ground_truth=True)
-        validate_attribute_vector([7.0] * 13, ground_truth=True)
+        validate_attribute_vector([1.0] * 13)
+        validate_attribute_vector([7.0] * 13)
 
 
 class TestCatalog:
@@ -136,7 +132,8 @@ class TestEmbeddingSet:
         assert len(es) == 3
         assert np.array_equal(es.vector(5), vec(5.0, 6.0))
         assert es.tool_of(1) == 0
-        assert 5 in es and 2 not in es
+        with pytest.raises(KeyError, match="item_id 2 not in embedding set"):
+            es.tool_of(2)
 
     def test_split_enumeration_sorted(self):
         es = make_set()
@@ -155,7 +152,7 @@ class TestEmbeddingSet:
         assert np.array_equal(m[0], vec(5.0, 6.0))
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
+        with pytest.raises(ValueError, match="item 1: embedding dimension 3 differs from dataset dimension 2"):
             EmbeddingSet([
                 EmbeddingRecord(0, 0, "train", vec(1.0, 2.0)),
                 EmbeddingRecord(1, 0, "train", vec(1.0, 2.0, 3.0)),
@@ -223,15 +220,13 @@ class TestColumnarEmbeddingSet:
             assert es.item_ids.tolist() == [5, 0, 3, 1]  # rows in the order given
             assert es.items() == [0, 1, 3, 5]
             assert es.items("train") == [0, 5] and es.items("test") == [1, 3]
-            assert len(es) == 4 and es.dim == 2 and 3 in es and 2 not in es
+            assert len(es) == 4 and es.dim == 2
         for rec in UNORDERED:
             for es in (a, b):
                 assert np.array_equal(es.vector(rec.item_id), rec.embedding)
                 assert es.tool_of(rec.item_id) == rec.tool_id
                 assert type(es.tool_of(rec.item_id)) is int
-                got = es.record(rec.item_id)
-                assert (got.item_id, got.tool_id, got.split) == (rec.item_id, rec.tool_id, rec.split)
-                assert np.array_equal(got.embedding, rec.embedding)
+                assert rec.item_id in es.items(rec.split)
         ids = [3, 5, 0]
         assert np.array_equal(a.matrix(ids), b.matrix(ids))
         assert np.array_equal(a.matrix(ids), np.stack([r.embedding for r in (UNORDERED[2], UNORDERED[0], UNORDERED[1])]))
@@ -286,7 +281,7 @@ class TestColumnarEmbeddingSet:
             with pytest.raises(ValueError, match="read-only"):
                 row[0] = 99.0
             with pytest.raises(ValueError, match="read-only"):
-                es.record(3).embedding[0] = 99.0
+                es.vectors[2, 0] = 99.0
             assert np.array_equal(es.vector(3), vec(7.0, 8.0))
 
     def test_matrix_is_a_copy(self):
@@ -306,7 +301,13 @@ class TestColumnarEmbeddingSet:
         es = EmbeddingSet.from_arrays(ids, tools, splits, vectors)
         ids[:], tools[:] = 9, 9
         assert es.item_ids.tolist() == [5, 0, 3, 1] and es.tool_ids.tolist() == [1, 0, 2, 0]
-        assert es.tool_of(3) == 2 and 9 not in es
+        assert es.tool_of(3) == 2 and 9 not in es.items()
+
+
+def tool_set(tool_of):
+    """An embedding set whose items have the given tools (item id -> tool id)."""
+    n = len(tool_of)
+    return EmbeddingSet.from_arrays(list(tool_of), list(tool_of.values()), ["test"] * n, np.ones((n, 2)))
 
 
 class TestTrial:
@@ -331,16 +332,15 @@ class TestTrial:
 
     def test_check_trial_accepts_consistent(self):
         trial = MatchingTrial(7, 100, tuple(range(10)), 2)
-        scenario_tool = {100: 42}
         candidate_tool = {i: i + 50 for i in range(10)}
         candidate_tool[2] = 42
-        check_trial(trial, scenario_tool, candidate_tool)
+        check_trial(trial, tool_set({100: 42}), tool_set(candidate_tool))
 
     def test_check_trial_rejects_wrong_target(self):
         trial = MatchingTrial(7, 100, tuple(range(10)), 2)
         candidate_tool = {i: i + 50 for i in range(10)}
-        with pytest.raises(ValueError, match="target item 2"):
-            check_trial(trial, {100: 42}, candidate_tool)
+        with pytest.raises(ValueError, match="target item 2 has tool_id 52, scenario expects 42"):
+            check_trial(trial, tool_set({100: 42}), tool_set(candidate_tool))
 
     def test_check_trial_rejects_duplicate_tool_distractor(self):
         trial = MatchingTrial(7, 100, tuple(range(10)), 2)
@@ -348,7 +348,7 @@ class TestTrial:
         candidate_tool[2] = 42
         candidate_tool[9] = 42  # distractor sharing the target tool
         with pytest.raises(ValueError, match="distractor item 9"):
-            check_trial(trial, {100: 42}, candidate_tool)
+            check_trial(trial, tool_set({100: 42}), tool_set(candidate_tool))
 
 
 class TestScenarioRecord:

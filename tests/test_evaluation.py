@@ -49,8 +49,8 @@ ROUNDING_CASES = [
 class TestRounding:
     @pytest.mark.parametrize("x,want", ROUNDING_CASES)
     def test_values(self, x, want):
-        got = round_half_up_clamped(x)
-        assert got == want and type(got) is int
+        got = round_half_up_clamped(np.array([x]))
+        assert got.tolist() == [want] and got.dtype == np.int64
         # The same rule applied to every case at once, as one array.
         xs, wants = zip(*ROUNDING_CASES)
         assert round_half_up_clamped(np.array(xs)).tolist() == list(wants)
@@ -58,7 +58,7 @@ class TestRounding:
     def test_non_finite_rejected(self):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                round_half_up_clamped(bad)
+                round_half_up_clamped(np.array([4.0, bad]))
         with pytest.raises(ValueError, match="non-finite value nan"):
             round_half_up_clamped(np.array([[3.0, 4.0], [math.nan, 5.0]]))
 
@@ -128,6 +128,17 @@ class TestAttributeWise:
         assert masked.numerator == 12 and masked.denominator == 12
         assert len(masked.per_attribute) == 12
         assert all(r["attribute"] != "graspability" for r in masked.per_attribute)
+
+    def test_array_and_list_give_the_same_report(self):
+        # An (n, 13) array, as predict_each returns it, reads as the list of its rows.
+        rng = np.random.default_rng(5)
+        preds = rng.uniform(0.0, 8.0, size=(6, 13))
+        truths = rng.integers(1, 8, size=(6, 13)).astype(np.float64)
+        for mask in (None, AblationMask([3, 11])):
+            want = attribute_wise_accuracy(list(preds), list(truths), mask).to_dict()
+            assert attribute_wise_accuracy(preds, truths, mask).to_dict() == want
+        with pytest.raises(ValueError, match="at least one"):
+            attribute_wise_accuracy(np.zeros((0, 13)), np.zeros((0, 13)))
 
     def test_errors(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -3,6 +3,7 @@ manifest, scenario/trial JSONL, and bit-exact checkpoints."""
 
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from toolmatch.domain import (
     ATTRIBUTE_NAMES,
     EmbeddingRecord,
+    EmbeddingSet,
     MatchingTrial,
     ScenarioRecord,
     ToolCatalog,
@@ -32,8 +34,8 @@ from toolmatch.formats import (
 )
 from toolmatch.evaluation import round_half_up_clamped
 from toolmatch.nn import init_head
+from toolmatch.synthetic import SyntheticSpec, generate, write_dataset
 from toolmatch.training import HeadConfig, TrainedHead, train_head
-from toolmatch.domain import EmbeddingSet
 
 
 # Characters at which str.splitlines ends a line; only \n, \r\n and \r end a row or a JSONL line.
@@ -191,7 +193,7 @@ def two_records(dim=4):
 class TestEmbeddingFile:
     def test_file_length_equation(self, tmp_path):
         path = tmp_path / "e.bin"
-        write_embeddings(two_records(dim=4), path, tmp_path / "m.jsonl")
+        write_embeddings(EmbeddingSet(two_records(dim=4)), path, tmp_path / "m.jsonl")
         # 20-byte header + 2 records of (8-byte id + 4*4 payload)
         assert path.stat().st_size == 68
 
@@ -199,30 +201,30 @@ class TestEmbeddingFile:
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
         rng_vals = np.array([0.1, -2.5, 1e-7, 3.14159265358979])
         records = [EmbeddingRecord(5, 2, "train", rng_vals)]
-        write_embeddings(records, path, man)
+        write_embeddings(EmbeddingSet(records), path, man)
         loaded = read_embeddings(path, man)
         want = rng_vals.astype(np.float32).astype(np.float64)
         assert np.array_equal(loaded.vector(5), want)
         assert loaded.tool_of(5) == 2
-        assert loaded.record(5).split == "train"
+        assert loaded.items("train") == [5]
 
     def test_written_twice_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
-        write_embeddings(two_records(), a, tmp_path / "a.jsonl")
-        write_embeddings(two_records(), b, tmp_path / "b.jsonl")
+        write_embeddings(EmbeddingSet(two_records()), a, tmp_path / "a.jsonl")
+        write_embeddings(EmbeddingSet(two_records()), b, tmp_path / "b.jsonl")
         assert a.read_bytes() == b.read_bytes()
         assert sha256_file(a) == sha256_file(b)
 
     def test_truncated_by_one_byte(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(dim=4), path, man)
+        write_embeddings(EmbeddingSet(two_records(dim=4)), path, man)
         path.write_bytes(path.read_bytes()[:-1])
         with pytest.raises(FormatError, match="expected 68 bytes, found 67"):
             read_embeddings(path, man)
 
     def test_one_trailing_byte(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(dim=4), path, man)
+        write_embeddings(EmbeddingSet(two_records(dim=4)), path, man)
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(FormatError, match="expected 68 bytes, found 69"):
             read_embeddings(path, man)
@@ -235,7 +237,7 @@ class TestEmbeddingFile:
 
     def test_bad_magic(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(), path, man)
+        write_embeddings(EmbeddingSet(two_records()), path, man)
         data = bytearray(path.read_bytes())
         data[:4] = b"XEMB"
         path.write_bytes(bytes(data))
@@ -244,7 +246,7 @@ class TestEmbeddingFile:
 
     def test_unsupported_version(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(), path, man)
+        write_embeddings(EmbeddingSet(two_records()), path, man)
         data = bytearray(path.read_bytes())
         data[4] = 2
         path.write_bytes(bytes(data))
@@ -253,14 +255,14 @@ class TestEmbeddingFile:
 
     def test_empty_write_is_header_only_and_rejected_on_read(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings([], path, man)
-        assert path.stat().st_size == 20
+        path.write_bytes(struct.pack("<4sIIQ", b"FEMB", 1, 4, 0))  # a 20-byte header and no rows
+        man.write_text("")
         with pytest.raises(FormatError, match="no records"):
             read_embeddings(path, man)
 
     def test_manifest_unknown_item(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(), path, man)
+        write_embeddings(EmbeddingSet(two_records()), path, man)
         with open(man, "a") as fh:
             fh.write(json.dumps({"item_id": 77, "tool_id": 0, "split": "train"}) + "\n")
         with pytest.raises(FormatError, match="unknown item_id 77"):
@@ -268,7 +270,7 @@ class TestEmbeddingFile:
 
     def test_manifest_missing_item(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(), path, man)
+        write_embeddings(EmbeddingSet(two_records()), path, man)
         lines = man.read_text().splitlines()
         man.write_text(lines[0] + "\n")
         with pytest.raises(FormatError, match="item_id 9 missing from manifest"):
@@ -276,7 +278,7 @@ class TestEmbeddingFile:
 
     def test_manifest_duplicate_entry(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(), path, man)
+        write_embeddings(EmbeddingSet(two_records()), path, man)
         lines = man.read_text().splitlines()
         man.write_text("\n".join(lines + [lines[0]]) + "\n")
         with pytest.raises(FormatError, match="duplicate manifest entry"):
@@ -284,21 +286,21 @@ class TestEmbeddingFile:
 
     def test_manifest_bad_split(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings([EmbeddingRecord(0, 0, "train", np.ones(3))], path, man)
+        write_embeddings(EmbeddingSet([EmbeddingRecord(0, 0, "train", np.ones(3))]), path, man)
         man.write_text(json.dumps({"item_id": 0, "tool_id": 0, "split": "dev"}) + "\n")
         with pytest.raises(FormatError, match="split must be one of"):
             read_embeddings(path, man)
 
     def test_manifest_invalid_json(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings([EmbeddingRecord(0, 0, "train", np.ones(3))], path, man)
+        write_embeddings(EmbeddingSet([EmbeddingRecord(0, 0, "train", np.ones(3))]), path, man)
         man.write_text("{not json\n")
         with pytest.raises(FormatError, match="line 1: invalid JSON"):
             read_embeddings(path, man)
 
     def test_manifest_missing_key(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings([EmbeddingRecord(0, 0, "train", np.ones(3))], path, man)
+        write_embeddings(EmbeddingSet([EmbeddingRecord(0, 0, "train", np.ones(3))]), path, man)
         man.write_text(json.dumps({"item_id": 0, "split": "train"}) + "\n")
         with pytest.raises(FormatError, match="missing required field 'tool_id'"):
             read_embeddings(path, man)
@@ -308,21 +310,22 @@ class TestEmbeddingFile:
             EmbeddingRecord(0, 0, "train", np.ones(3)),
             EmbeddingRecord(1, 0, "train", np.ones(4)),
         ]
-        with pytest.raises(FormatError, match="dimension 4 differs"):
-            write_embeddings(records, tmp_path / "e.bin", tmp_path / "m.jsonl")
+        with pytest.raises(ValueError, match="dimension 4 differs"):  # no set holds them, so none is written
+            write_embeddings(EmbeddingSet(records), tmp_path / "e.bin", tmp_path / "m.jsonl")
+        assert not (tmp_path / "e.bin").exists()
 
     def test_write_rejects_duplicate_ids(self, tmp_path):
         records = [
             EmbeddingRecord(4, 0, "train", np.ones(3)),
             EmbeddingRecord(4, 1, "test", np.ones(3)),
         ]
-        with pytest.raises(FormatError, match="duplicate item_id 4"):
-            write_embeddings(records, tmp_path / "e.bin", tmp_path / "m.jsonl")
+        with pytest.raises(ValueError, match="duplicate item_id 4"):  # no set holds them, so none is written
+            write_embeddings(EmbeddingSet(records), tmp_path / "e.bin", tmp_path / "m.jsonl")
 
     def test_little_endian_layout(self, tmp_path):
         # dim=1, count=1, item 258, value 1.0: every byte is pinned.
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings([EmbeddingRecord(258, 0, "train", np.array([1.0]))], path, man)
+        write_embeddings(EmbeddingSet([EmbeddingRecord(258, 0, "train", np.array([1.0]))]), path, man)
         data = path.read_bytes()
         assert data[:4] == b"FEMB"
         assert data[4:8] == (1).to_bytes(4, "little")
@@ -340,34 +343,59 @@ class TestColumnarEmbeddingFile:
             EmbeddingRecord(2, 0, "train", np.array([-1.0, 0.5, 0.25])),
             EmbeddingRecord(5, 3, "test", np.array([4.0, 5.0, 6.0])),
         ]
-        write_embeddings(records, path, man)
+        write_embeddings(EmbeddingSet(records), path, man)
         loaded = read_embeddings(path, man)
         assert loaded.item_ids.tolist() == [9, 2, 5]  # the file's row order
         assert loaded.items() == [2, 5, 9]
         assert loaded.items("test") == [5, 9]
         for rec in records:
-            got = loaded.record(rec.item_id)
-            assert (got.tool_id, got.split) == (rec.tool_id, rec.split)
-            assert np.array_equal(got.embedding, rec.embedding)
+            assert loaded.tool_of(rec.item_id) == rec.tool_id and rec.item_id in loaded.items(rec.split)
+            assert np.array_equal(loaded.vector(rec.item_id), rec.embedding)
         assert np.array_equal(loaded.matrix([9, 2]), np.stack([records[0].embedding, records[1].embedding]))
 
     def test_set_and_records_write_the_same_bytes(self, tmp_path):
+        # A set built from records and one built from whole columns write the same files.
         records = two_records(dim=5) + [EmbeddingRecord(12, 4, "train", np.full(5, 1 / 3))]
-        write_embeddings(records, tmp_path / "r.bin", tmp_path / "r.jsonl")
-        write_embeddings(EmbeddingSet(records), tmp_path / "s.bin", tmp_path / "s.jsonl")
+        columns = EmbeddingSet.from_arrays([r.item_id for r in records], [r.tool_id for r in records],
+                                           [r.split for r in records], np.stack([r.embedding for r in records]))
+        write_embeddings(EmbeddingSet(records), tmp_path / "r.bin", tmp_path / "r.jsonl")
+        write_embeddings(columns, tmp_path / "s.bin", tmp_path / "s.jsonl")
         assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
         assert (tmp_path / "r.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
 
     def test_set_is_written_in_ascending_id_order(self, tmp_path):
+        # gen-synth builds its sets with ascending ids, so its files list ids in ascending
+        # order; a set in another order is written in that order instead.
+        gen = write_dataset(generate(SyntheticSpec(n_tools=12, d_v=16, d_l=14, noise_sigma=0.1, seed=3)),
+                            tmp_path / "gen")
+        for path in (gen["visual"], gen["scenario_embeddings"]):
+            data = path.read_bytes()
+            dim, count = struct.unpack_from("<IQ", data, 8)
+            ids = np.frombuffer(data, dtype=[("item_id", "<u8"), ("vec", "<f4", (dim,))], offset=20)["item_id"]
+            assert count > 1 and ids.tolist() == sorted(ids.tolist())
         records = two_records(dim=3)
-        write_embeddings(records, tmp_path / "r.bin", tmp_path / "r.jsonl")
         write_embeddings(EmbeddingSet(records[::-1]), tmp_path / "s.bin", tmp_path / "s.jsonl")
-        assert (tmp_path / "r.bin").read_bytes() == (tmp_path / "s.bin").read_bytes()
-        assert (tmp_path / "r.jsonl").read_bytes() == (tmp_path / "s.jsonl").read_bytes()
+        assert read_embeddings(tmp_path / "s.bin", tmp_path / "s.jsonl").item_ids.tolist() == [9, 0]
+
+    def test_write_back_reproduces_the_file(self, tmp_path):
+        # Rows keep the file's order both ways, so any valid file comes back byte for byte:
+        # one whose ids do not ascend, and a gen-synth one.
+        unordered = tmp_path / "u.femb", tmp_path / "u.jsonl"
+        records = two_records(dim=5)[::-1] + [EmbeddingRecord(4, 2, "train", np.full(5, 1 / 3))]
+        write_embeddings(EmbeddingSet(records), *unordered)
+        gen = write_dataset(generate(SyntheticSpec(n_tools=12, d_v=16, d_l=14, noise_sigma=0.1, seed=3)),
+                            tmp_path / "gen")
+        for path, manifest in (unordered, (gen["visual"], gen["visual_manifest"]),
+                               (gen["scenario_embeddings"], gen["scenario_manifest"])):
+            again = tmp_path / "again.femb", tmp_path / "again.jsonl"
+            write_embeddings(read_embeddings(path, manifest), *again)
+            assert again[0].read_bytes() == path.read_bytes()
+            assert again[1].read_bytes() == manifest.read_bytes()
+        assert read_embeddings(*unordered).item_ids.tolist() == [9, 0, 4]
 
     def test_manifest_lines_match_compact_json(self, tmp_path):
         records = two_records() + [EmbeddingRecord(123456789012, -3, "test", np.ones(4))]
-        write_embeddings(records, tmp_path / "e.bin", tmp_path / "m.jsonl")
+        write_embeddings(EmbeddingSet(records), tmp_path / "e.bin", tmp_path / "m.jsonl")
         want = "".join(
             json.dumps({"item_id": r.item_id, "tool_id": r.tool_id, "split": r.split}, separators=(",", ":")) + "\n"
             for r in records
@@ -376,7 +404,7 @@ class TestColumnarEmbeddingFile:
 
     def test_read_duplicate_id_in_binary(self, tmp_path):
         path, man = tmp_path / "e.bin", tmp_path / "m.jsonl"
-        write_embeddings(two_records(dim=2), path, man)
+        write_embeddings(EmbeddingSet(two_records(dim=2)), path, man)
         data = bytearray(path.read_bytes())
         data[20 + 16:20 + 24] = (0).to_bytes(8, "little")  # second record's id 9 -> 0
         path.write_bytes(bytes(data))

@@ -556,8 +556,6 @@ class TestAdam:
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError, match="learning rate"):
             AdamState.for_params(np.zeros(1), learning_rate=-1.0)
-        with pytest.raises(ValueError, match="beta"):
-            AdamState.for_params(np.zeros(1), learning_rate=0.1, beta1=1.0)
 
     def test_small_step_does_not_increase_loss(self):
         # One Adam step at lr=1e-6 on a fixed batch.

@@ -12,7 +12,7 @@ import pytest
 
 from toolmatch import formats
 from toolmatch.cli import main
-from toolmatch.domain import EmbeddingRecord, MatchingTrial, ScenarioRecord, ToolCatalog, ToolRecord
+from toolmatch.domain import EmbeddingRecord, EmbeddingSet, MatchingTrial, ScenarioRecord, ToolCatalog, ToolRecord
 from toolmatch.formats import (
     FormatError,
     read_embeddings,
@@ -43,7 +43,7 @@ def embeddings(tmp_path):
     path = tmp_path / "e.femb"
     records = [EmbeddingRecord(m["item_id"], m["tool_id"], m["split"], np.arange(3.0) + m["item_id"])
                for m in MANIFEST]
-    write_embeddings(records, path, tmp_path / "written.jsonl")
+    write_embeddings(EmbeddingSet(records), path, tmp_path / "written.jsonl")
     assert (tmp_path / "written.jsonl").read_text() == compact(MANIFEST)
     return lambda manifest: read_embeddings(path, manifest)
 
@@ -224,7 +224,7 @@ def test_writers_output_takes_the_one_pass_path(tmp_path, capsys, one_pass_only)
     extra = tmp_path / "extra"
     extra.mkdir()
     records = [EmbeddingRecord(10**17 + i, i, "test", np.ones(2)) for i in range(3)]
-    write_embeddings(records[::-1], extra / "e.femb", extra / "m.jsonl")
+    write_embeddings(EmbeddingSet(records[::-1]), extra / "e.femb", extra / "m.jsonl")
     write_scenarios([ScenarioRecord(7, 1, "".join(map(chr, range(32, 127))).replace('"', "").replace("\\", ""), 0),
                      ScenarioRecord(0, 0, "", 7)], extra / "s.jsonl")
     write_trials([MatchingTrial(3, 1, tuple(range(20, 10, -1)), 9), MatchingTrial(0, 0, tuple(range(10)), 0)],

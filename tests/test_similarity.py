@@ -9,7 +9,6 @@ import pytest
 from toolmatch.domain import NUM_ATTRIBUTES
 from toolmatch.rng import SplitMix64
 from toolmatch.similarity import (
-    EMPTY_MASK,
     METRIC_NAMES,
     AblationMask,
     SimilarityError,
@@ -127,8 +126,8 @@ class TestResolveMetric:
 
 class TestAblationMask:
     def test_empty_mask_is_falsy(self):
-        assert not EMPTY_MASK
         assert not AblationMask()
+        assert not AblationMask([])
         assert AblationMask([3])
 
     def test_kept_order(self):
@@ -165,7 +164,7 @@ class TestAblationMask:
     def test_apply_no_mask_passthrough(self):
         v = np.arange(13.0)
         assert np.array_equal(apply_mask(v, None), v)
-        assert np.array_equal(apply_mask(v, EMPTY_MASK), v)
+        assert np.array_equal(apply_mask(v, AblationMask()), v)
 
     def test_apply_mask_shape_check(self):
         with pytest.raises(ValueError, match="13-vectors"):

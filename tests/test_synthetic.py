@@ -147,12 +147,10 @@ class TestItemIds:
         stride = 5
         for tool in range(ds.spec.n_tools):
             base = tool * stride
-            for j in range(3):
-                rec = ds.visual.record(base + j)
-                assert (rec.tool_id, rec.split) == (tool, "train")
-            for j in range(3, 5):
-                rec = ds.visual.record(base + j)
-                assert (rec.tool_id, rec.split) == (tool, "test")
+            train, test = ds.visual.items("train"), ds.visual.items("test")
+            for j in range(5):
+                assert ds.visual.tool_of(base + j) == tool
+                assert base + j in (train if j < 3 else test)
 
     def test_split_counts(self):
         ds = generate(tiny_spec(n_tools=12, scenarios_per_tool=(4, 2)))

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from toolmatch.cli import main
-from toolmatch.domain import EmbeddingRecord
+from toolmatch.domain import EmbeddingRecord, EmbeddingSet
 from toolmatch.formats import (
     CATALOG_HEADER,
     FormatError,
@@ -88,7 +88,8 @@ def files(tmp_path_factory):
     """Valid inputs: embeddings + manifest, trials, scenarios, two checkpoints."""
     d = tmp_path_factory.mktemp("valid")
     paths = {name: d / name for name in ("e.femb", "m.jsonl", "t.jsonl", "s.jsonl", "head.json")}
-    write_embeddings([EmbeddingRecord(0, 0, "train", np.ones(6))], paths["e.femb"], paths["m.jsonl"])
+    write_embeddings(EmbeddingSet([EmbeddingRecord(0, 0, "train", np.ones(6))]), paths["e.femb"],
+                     paths["m.jsonl"])
     config = HeadConfig(pathway="visual", layer_dims=(6, 8, 13), learning_rate=1e-3,
                         batch_size=4, max_epochs=3, seed=7)
     trained = TrainedHead(head=init_head(config.layer_dims, config.seed), config=config,
