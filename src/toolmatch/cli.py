@@ -83,7 +83,31 @@ def _json_safe(x: float):
 
 
 def _fingerprints(**paths) -> dict:
-    return {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in paths.items() if p}
+    return {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in paths.items()}
+
+
+# The input files, flag -> help, each table in the order its files are loaded.
+# A flag's dest (dashes as underscores) keys the file in the report's "inputs".
+LABELED_INPUTS = {"embeddings": "embedding file", "manifest": "embedding manifest", "catalog": "catalog CSV"}
+HEAD_INPUTS = {"checkpoint": "head checkpoint", **LABELED_INPUTS}
+MATCH_INPUTS = {"visual-checkpoint": "visual head checkpoint", "language-checkpoint": "language head checkpoint",
+                "visual": "visual embedding file", "visual-manifest": "visual embedding manifest",
+                "scenarios": "scenario embedding file", "scenario-manifest": "scenario embedding manifest",
+                "trials": "matching trials JSONL"}
+
+
+def _add_inputs(p, table: dict, required: bool = True) -> None:
+    for flag, text in table.items():
+        p.add_argument("--" + flag, required=required, help=text)
+
+
+def _input_paths(args, table: dict) -> dict:
+    """``{dest: path}`` of a table's files; only ``ablate`` declares them optional."""
+    paths = {flag.replace("-", "_"): flag for flag in table}
+    missing = ["--" + flag for dest, flag in paths.items() if getattr(args, dest) is None]
+    if missing:
+        raise ValueError(f"ablate --which {args.which} requires {', '.join(missing)}")
+    return {dest: getattr(args, dest) for dest in paths}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,71 +131,43 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(handler=_cmd_gen_synth, report_to_out=False)
 
-    p = sub.add_parser("train", help="train one attribute head")
+    # An override flag without a default is absent unless given; its dest is
+    # the HeadConfig.for_pathway keyword it overrides.
+    p = sub.add_parser("train", help="train one attribute head", argument_default=argparse.SUPPRESS)
     p.add_argument("--pathway", choices=PATHWAYS, required=True)
-    p.add_argument("--embeddings", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--catalog", required=True)
+    _add_inputs(p, LABELED_INPUTS)
     p.add_argument("--out", required=True, help="checkpoint output path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--lr", type=float, default=None, help="override pathway default")
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--patience", type=int, default=None)
-    p.add_argument("--val-fraction", type=float, default=None)
-    p.add_argument("--hidden", type=_int_list, default=None, metavar="H1,H2,...",
-                   help="override hidden layer widths")
-    p.set_defaults(handler=_cmd_train, report_to_out=False)
+    overrides = [
+        p.add_argument("--lr", dest="learning_rate", type=float, help="override pathway default"),
+        p.add_argument("--batch", dest="batch_size", type=int),
+        p.add_argument("--epochs", dest="max_epochs", type=int),
+        p.add_argument("--patience", type=int),
+        p.add_argument("--val-fraction", dest="validation_fraction", type=float),
+        p.add_argument("--hidden", dest="hidden_dims", type=_int_list, metavar="H1,H2,...", help="hidden widths"),
+    ]
+    p.set_defaults(handler=_cmd_train, overrides=[a.dest for a in overrides], report_to_out=False)
 
-    def eval_common(p):
-        p.add_argument("--checkpoint", required=True)
-        p.add_argument("--embeddings", required=True)
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--catalog", required=True)
-        p.add_argument("--split", choices=("train", "test"), default="test")
+    for name, which, text in (("eval-attr", "attr", "attribute-wise accuracy of a trained head"),
+                              ("eval-class", "class", "most-similar-class accuracy of a trained head"),
+                              ("match", "matching", "tool selection accuracy over matching trials")):
+        p = sub.add_parser(name, help=text)
+        _add_inputs(p, MATCH_INPUTS if which == "matching" else HEAD_INPUTS)
+        if which == "matching":
+            p.add_argument("--metric", choices=sorted(METRIC_FLAGS), default="cosine")
+        else:
+            p.add_argument("--split", choices=("train", "test"), default="test")
+        if which != "attr":
+            p.add_argument("--clamp", action="store_true", help="clip predictions to [1,7] before scoring")
         p.add_argument("--mask", default=None, help="comma-separated attribute names to remove")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("eval-attr", help="attribute-wise accuracy of a trained head")
-    eval_common(p)
-    p.set_defaults(handler=_cmd_eval, which="attr", report_to_out=True)
-
-    p = sub.add_parser("eval-class", help="most-similar-class accuracy of a trained head")
-    eval_common(p)
-    p.add_argument("--clamp", action="store_true", help="clip predictions to [1,7] before scoring")
-    p.set_defaults(handler=_cmd_eval, which="class", report_to_out=True)
-
-    def match_common(p):
-        p.add_argument("--visual-checkpoint", required=True)
-        p.add_argument("--language-checkpoint", required=True)
-        p.add_argument("--visual", required=True, help="visual embedding file")
-        p.add_argument("--visual-manifest", required=True)
-        p.add_argument("--scenarios", required=True, help="scenario embedding file")
-        p.add_argument("--scenario-manifest", required=True)
-        p.add_argument("--trials", required=True)
-        p.add_argument("--metric", choices=sorted(METRIC_FLAGS), default="cosine")
-        p.add_argument("--clamp", action="store_true")
-        p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-    p = sub.add_parser("match", help="tool selection accuracy over matching trials")
-    match_common(p)
-    p.add_argument("--mask", default=None, help="comma-separated attribute names to remove")
-    p.set_defaults(handler=_cmd_eval, which="matching", report_to_out=True)
+        p.set_defaults(handler=_cmd_eval, which=which, report_to_out=True)
 
     p = sub.add_parser("ablate", help="single-attribute removal sweep over a metric")
     p.add_argument("--which", choices=("attr", "class", "matching"), required=True)
-    p.add_argument("--checkpoint", help="head checkpoint (attr/class sweeps)")
-    p.add_argument("--embeddings", help="embedding file (attr/class sweeps)")
-    p.add_argument("--manifest", help="embedding manifest (attr/class sweeps)")
-    p.add_argument("--catalog", help="catalog CSV (attr/class sweeps)")
+    _add_inputs(p.add_argument_group("attr and class sweeps (eval-class inputs)"), HEAD_INPUTS, required=False)
     p.add_argument("--split", choices=("train", "test"), default="test")
-    p.add_argument("--visual-checkpoint", help="matching sweep inputs")
-    p.add_argument("--language-checkpoint")
-    p.add_argument("--visual")
-    p.add_argument("--visual-manifest")
-    p.add_argument("--scenarios")
-    p.add_argument("--scenario-manifest")
-    p.add_argument("--trials")
+    _add_inputs(p.add_argument_group("matching sweep (match inputs)"), MATCH_INPUTS, required=False)
     p.add_argument("--metric", choices=sorted(METRIC_FLAGS), default="cosine")
     p.add_argument("--clamp", action="store_true")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -213,32 +209,32 @@ def _cmd_gen_synth(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _cmd_train(args) -> tuple[dict, int]:
-    embeddings = read_embeddings(args.embeddings, args.manifest)
-    catalog = load_catalog(args.catalog)
+def _read_labeled(paths: dict):
+    """The embedding set and catalog of a labeled-embedding trio, tool ids checked."""
+    embeddings = read_embeddings(paths["embeddings"], paths["manifest"])
+    catalog = load_catalog(paths["catalog"])
     embeddings.check_tool_ids(catalog)
+    return embeddings, catalog
 
-    overrides = {"seed": args.seed}
-    if args.lr is not None:
-        overrides["learning_rate"] = args.lr
-    if args.batch is not None:
-        overrides["batch_size"] = args.batch
-    if args.epochs is not None:
-        overrides["max_epochs"] = args.epochs
-    if args.patience is not None:
-        overrides["patience"] = args.patience
-    if args.val_fraction is not None:
-        overrides["validation_fraction"] = args.val_fraction
-    if args.hidden is not None:
-        overrides["hidden_dims"] = args.hidden
-    config = HeadConfig.for_pathway(args.pathway, embeddings.dim, **overrides)
+
+def _check_width(trained, checkpoint, embeddings, path) -> None:
+    if embeddings.dim != trained.config.layer_dims[0]:
+        raise ValueError(f"embedding dimension {embeddings.dim} of {path} does not match input "
+                         f"dimension {trained.config.layer_dims[0]} of checkpoint {checkpoint}")
+
+
+def _cmd_train(args) -> tuple[dict, int]:
+    paths = _input_paths(args, LABELED_INPUTS)
+    embeddings, catalog = _read_labeled(paths)
+    given = {name: getattr(args, name) for name in args.overrides if name in args}
+    config = HeadConfig.for_pathway(args.pathway, embeddings.dim, seed=args.seed, **given)
 
     trained = train_head(embeddings, catalog, config)
     save_checkpoint(trained, args.out)
     report = {
         "command": "train",
         "config": config.to_dict(),
-        "inputs": _fingerprints(embeddings=args.embeddings, manifest=args.manifest, catalog=args.catalog),
+        "inputs": _fingerprints(**paths),
         "artifacts": _fingerprints(checkpoint=args.out),
         "training": {
             "best_validation_mse": _json_safe(trained.best_validation_mse),
@@ -249,17 +245,6 @@ def _cmd_train(args) -> tuple[dict, int]:
     return report, 0
 
 
-def _require(args, names: Sequence[str]) -> None:
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ValueError(
-            "ablate --which "
-            + args.which
-            + " requires "
-            + ", ".join("--" + n for n in missing)
-        )
-
-
 def _evaluator(args):
     """Load the inputs of the ``args.which`` metric (attr, class or matching) once.
 
@@ -267,8 +252,7 @@ def _evaluator(args):
     echo and the input fingerprints. Only ``match`` collects per-trial rankings.
     """
     if args.which == "matching":
-        _require(args, ("visual-checkpoint", "language-checkpoint", "visual",
-                        "visual-manifest", "scenarios", "scenario-manifest", "trials"))
+        paths = _input_paths(args, MATCH_INPUTS)
         visual_head = load_checkpoint(args.visual_checkpoint)
         language_head = load_checkpoint(args.language_checkpoint)
         visual = read_embeddings(args.visual, args.visual_manifest)
@@ -276,15 +260,7 @@ def _evaluator(args):
         trials = read_trials(args.trials)
         if not trials:
             raise ValueError(f"{args.trials}: no trials")
-        inputs = _fingerprints(
-            visual_checkpoint=args.visual_checkpoint,
-            language_checkpoint=args.language_checkpoint,
-            visual=args.visual,
-            visual_manifest=args.visual_manifest,
-            scenarios=args.scenarios,
-            scenario_manifest=args.scenario_manifest,
-            trials=args.trials,
-        )
+        inputs = _fingerprints(**paths)
         for field, ids, source, path in (
             ("scenario_item_id", [[t.scenario_item_id] for t in trials], scenario_embeddings, args.scenarios),
             ("candidate_item_ids", [t.candidate_item_ids for t in trials], visual, args.visual),
@@ -294,6 +270,8 @@ def _evaluator(args):
                 row, col = absent[0]
                 raise FormatError(f"{args.trials}: trial {trials[row].trial_id}: {field}: "
                                   f"item_id {ids[row][col]} not in {path}")
+        _check_width(visual_head, args.visual_checkpoint, visual, args.visual)
+        _check_width(language_head, args.language_checkpoint, scenario_embeddings, args.scenarios)
         # Each distinct item is predicted once, and the trials are gathered
         # once; every mask scores the same batch.
         batch = MatchingBatch.gather(trials, partial(predict_each, language_head, scenario_embeddings),
@@ -306,23 +284,14 @@ def _evaluator(args):
         heads = {"visual": visual_head.config.to_dict(), "language": language_head.config.to_dict()}
         return evaluate, {"metric": args.metric, "clamp": args.clamp, "heads": heads}, inputs
 
-    _require(args, ("checkpoint", "embeddings", "manifest", "catalog"))
+    paths = _input_paths(args, HEAD_INPUTS)
     trained = load_checkpoint(args.checkpoint)
-    embeddings = read_embeddings(args.embeddings, args.manifest)
-    catalog = load_catalog(args.catalog)
-    embeddings.check_tool_ids(catalog)
-    if embeddings.dim != trained.config.layer_dims[0]:
-        raise ValueError(
-            f"embedding dimension {embeddings.dim} does not match checkpoint input "
-            f"dimension {trained.config.layer_dims[0]}"
-        )
+    embeddings, catalog = _read_labeled(paths)
+    _check_width(trained, args.checkpoint, embeddings, args.embeddings)
     items = embeddings.items(args.split)
     if not items:
         raise ValueError(f"no items in split {args.split!r}")
-    inputs = _fingerprints(
-        checkpoint=args.checkpoint, embeddings=args.embeddings,
-        manifest=args.manifest, catalog=args.catalog,
-    )
+    inputs = _fingerprints(**paths)
     pred_rows = predict_each(trained, embeddings, items)
     if args.which == "attr":
         truths = [catalog.attributes_of(embeddings.tool_of(i)) for i in items]

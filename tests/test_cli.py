@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report schemas, config echoes, and
 end-to-end runs over a small noiseless dataset."""
 
+import dataclasses
 import hashlib
 import json
 
@@ -141,41 +142,59 @@ class TestGenSynth:
         assert info.value.code == 2
 
 
-class TestTrain:
-    def test_visual_defaults_echoed(self, capsys, dataset, tmp_path):
-        # No overrides: the config echo shows the visual pathway defaults.
-        report = run_json(
-            capsys, "train", "--pathway", "visual",
-            "--embeddings", str(dataset / "visual.femb"),
-            "--manifest", str(dataset / "visual_manifest.jsonl"),
-            "--catalog", str(dataset / "catalog.csv"),
-            "--out", str(tmp_path / "head.json"),
-        )
-        cfg = report["config"]
-        assert cfg["pathway"] == "visual"
-        assert cfg["layer_dims"] == [16, 256, 64, 13]
-        assert cfg["learning_rate"] == 1e-4
-        assert cfg["batch_size"] == 256
-        assert cfg["max_epochs"] == 1000
-        assert cfg["patience"] == 50
-        assert cfg["validation_fraction"] == 0.1
-        assert report["training"]["epochs_run"] >= 1
+# train's override flags: flag, value, the HeadConfig field it lands in, and
+# the echoed value (for --hidden, the widths between input and output).
+OVERRIDES = [
+    ("--lr", "3e-3", "learning_rate", 3e-3),
+    ("--batch", "8", "batch_size", 8),
+    ("--epochs", "3", "max_epochs", 3),
+    ("--patience", "2", "patience", 2),
+    ("--val-fraction", "0.25", "validation_fraction", 0.25),
+    ("--hidden", "8,4", "layer_dims", [8, 4]),
+]
 
-    def test_language_defaults_echoed(self, capsys, dataset, tmp_path):
-        report = run_json(
-            capsys, "train", "--pathway", "language",
-            "--embeddings", str(dataset / "scenarios.femb"),
-            "--manifest", str(dataset / "scenarios_manifest.jsonl"),
-            "--catalog", str(dataset / "catalog.csv"),
-            "--out", str(tmp_path / "head.json"),
-            "--epochs", "2",
-        )
-        cfg = report["config"]
-        assert cfg["pathway"] == "language"
-        assert cfg["layer_dims"] == [13, 256, 128, 64, 13]
-        assert cfg["learning_rate"] == 5e-5
-        assert cfg["batch_size"] == 4
-        assert cfg["max_epochs"] == 2  # explicit override wins
+
+def check_config_echo(capsys, monkeypatch, dataset, tmp_path, pathway, defaults, override):
+    """The train report echoes the pathway defaults, with the one flag given in
+    its HeadConfig field. Only the echo is checked, so training is cut to two
+    epochs behind the CLI's back."""
+    fit = cli.train_head
+    monkeypatch.setattr(cli, "train_head", lambda embeddings, catalog, config: fit(
+        embeddings, catalog, dataclasses.replace(config, max_epochs=min(config.max_epochs, 2))))
+    name = "visual" if pathway == "visual" else "scenarios"
+    expected = dict(defaults)
+    extra = []
+    if override:
+        flag, value, field, echoed = override
+        extra = [flag, value]
+        expected[field] = [defaults["layer_dims"][0], *echoed, 13] if field == "layer_dims" else echoed
+    report = run_json(
+        capsys, "train", "--pathway", pathway,
+        "--embeddings", str(dataset / f"{name}.femb"),
+        "--manifest", str(dataset / f"{name}_manifest.jsonl"),
+        "--catalog", str(dataset / "catalog.csv"),
+        "--out", str(tmp_path / "head.json"), *extra,
+    )
+    assert report["config"] == expected
+    assert report["training"]["epochs_run"] >= 1
+
+
+def override_id(override):
+    return override[0][2:] if override else "none"
+
+
+class TestTrain:
+    @pytest.mark.parametrize("override", [None, *OVERRIDES], ids=override_id)
+    def test_visual_defaults_echoed(self, capsys, monkeypatch, dataset, tmp_path, override):
+        defaults = {"pathway": "visual", "layer_dims": [16, 256, 64, 13], "learning_rate": 1e-4,
+                    "batch_size": 256, "max_epochs": 1000, "patience": 50, "validation_fraction": 0.1, "seed": 0}
+        check_config_echo(capsys, monkeypatch, dataset, tmp_path, "visual", defaults, override)
+
+    @pytest.mark.parametrize("override", [None, *OVERRIDES], ids=override_id)
+    def test_language_defaults_echoed(self, capsys, monkeypatch, dataset, tmp_path, override):
+        defaults = {"pathway": "language", "layer_dims": [13, 256, 128, 64, 13], "learning_rate": 5e-5,
+                    "batch_size": 4, "max_epochs": 2000, "patience": 50, "validation_fraction": 0.1, "seed": 0}
+        check_config_echo(capsys, monkeypatch, dataset, tmp_path, "language", defaults, override)
 
     def test_checkpoint_artifact_fingerprint(self, capsys, dataset, tmp_path):
         path = tmp_path / "head.json"
@@ -312,7 +331,10 @@ class TestEval:
         )
         assert code == 1
         payload = json.loads(err)
-        assert "dimension" in payload["error"]["message"]
+        assert payload["error"]["message"] == (
+            f"embedding dimension 13 of {dataset / 'scenarios.femb'} does not match input dimension 16 "
+            f"of checkpoint {visual_checkpoint}"
+        )
 
     @pytest.mark.parametrize("key, value, message", [
         ("best_validation_mse", "nan", "best_validation_mse must be a non-negative MSE or inf, got 'nan'"),
@@ -364,6 +386,35 @@ class TestMatch:
             main(["match", *match_args(dataset, visual_checkpoint, language_checkpoint,
                                        "--metric", "dot")])
         assert info.value.code == 2
+
+
+class TestHeadWidth:
+    """A head whose input width is not its embedding file's is an error naming
+    both files, raised before any item is predicted."""
+
+    @pytest.mark.parametrize("command", [["match"], ["ablate", "--which", "matching"]])
+    @pytest.mark.parametrize("swap", ["both", "language"])
+    def test_swapped_heads_name_checkpoint_and_embeddings(
+        self, capsys, monkeypatch, dataset, visual_checkpoint, language_checkpoint, command, swap
+    ):
+        def never(*args):
+            raise AssertionError("predicted before the width check")
+
+        monkeypatch.setattr(cli, "predict_each", never)
+        if swap == "both":  # the visual pair is checked first: a 13-wide head on 16-wide images
+            heads, dim, width, embeddings, checkpoint = (
+                (language_checkpoint, visual_checkpoint), 16, 13, "visual.femb", language_checkpoint)
+        else:  # the visual pair fits: a 16-wide head on 13-wide scenarios
+            heads, dim, width, embeddings, checkpoint = (
+                (visual_checkpoint, visual_checkpoint), 13, 16, "scenarios.femb", visual_checkpoint)
+        code, out, err = run(capsys, *command, *match_args(dataset, *heads))
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValueError"
+        assert error["message"] == (
+            f"embedding dimension {dim} of {dataset / embeddings} does not match input dimension {width} "
+            f"of checkpoint {checkpoint}"
+        )
 
 
 class TestOnePredictionPerItem:
@@ -460,7 +511,10 @@ class TestAblate:
         else:
             argv = eval_args(dataset, visual_checkpoint)
         sweep = run_json(capsys, "ablate", "--which", which, *argv)
-        one_shot = run_json(capsys, command, *argv)["report"]
+        full = run_json(capsys, command, *argv)
+        # Same files under the same keys, in the same order, with the same digests.
+        assert list(sweep["inputs"].items()) == list(full["inputs"].items())
+        one_shot = full["report"]
         details = one_shot.pop("details", {})
         details.pop("per_trial", None)
         if details:
@@ -476,6 +530,43 @@ class TestAblate:
         payload = json.loads(err)
         assert "requires" in payload["error"]["message"]
         assert "--language-checkpoint" in payload["error"]["message"]
+
+    # Each sweep's inputs, in the order ablate lists missing ones.
+    INPUTS = {
+        "attr": ["--checkpoint", "--embeddings", "--manifest", "--catalog"],
+        "class": ["--checkpoint", "--embeddings", "--manifest", "--catalog"],
+        "matching": ["--visual-checkpoint", "--language-checkpoint", "--visual", "--visual-manifest",
+                     "--scenarios", "--scenario-manifest", "--trials"],
+    }
+    COMMAND = {"attr": "eval-attr", "class": "eval-class", "matching": "match"}
+
+    @pytest.mark.parametrize("which,flag", [(which, flag) for which, flags in INPUTS.items() for flag in flags])
+    def test_one_missing_input(self, capsys, dataset, visual_checkpoint, language_checkpoint, which, flag):
+        # ablate exits 1 naming the one flag; the one-shot command, which
+        # declares it required, is a usage error.
+        if which == "matching":
+            argv = match_args(dataset, visual_checkpoint, language_checkpoint)
+        else:
+            argv = eval_args(dataset, visual_checkpoint)
+        at = argv.index(flag)
+        argv = argv[:at] + argv[at + 2:]
+        code, out, err = run(capsys, "ablate", "--which", which, *argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"]["message"] == f"ablate --which {which} requires {flag}"
+        with pytest.raises(SystemExit) as info:
+            main([self.COMMAND[which], *argv])
+        assert info.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("which", ["attr", "class", "matching"])
+    def test_missing_inputs_listed_in_table_order(self, capsys, dataset, which):
+        # The other sweep's inputs satisfy nothing; every missing flag is listed.
+        other = ["--trials", str(dataset / "trials.jsonl")] if which != "matching" else [
+            "--catalog", str(dataset / "catalog.csv")]
+        code, out, err = run(capsys, "ablate", "--which", which, *other)
+        assert code == 1 and out == ""
+        message = json.loads(err)["error"]["message"]
+        assert message == f"ablate --which {which} requires " + ", ".join(self.INPUTS[which])
 
 
 @pytest.fixture(scope="module")
